@@ -283,6 +283,7 @@ mod tests {
 
     #[test]
     fn partition_in_place_splits_and_keeps_true_order() {
+        let _g = crate::counter_guard();
         let mut v = vec![5, 2, 8, 1, 9, 3, 7];
         let cut = partition_in_place(&mut v, |&x| x < 5);
         assert_eq!(cut, 3);
@@ -294,6 +295,7 @@ mod tests {
 
     #[test]
     fn kway_merge_merges_disjoint_sorted_runs() {
+        let _g = crate::counter_guard();
         let a: Vec<u64> = vec![0, 3, 6, 9, 12];
         let b: Vec<u64> = vec![1, 4, 7, 10];
         let c: Vec<u64> = vec![2, 5, 8, 11, 13, 14];
@@ -306,6 +308,7 @@ mod tests {
 
     #[test]
     fn kway_merge_handles_empty_sources_and_large_inputs() {
+        let _g = crate::counter_guard();
         let a: Vec<u64> = (0..20_000).map(|i| 2 * i).collect();
         let b: Vec<u64> = (0..20_000).map(|i| 2 * i + 1).collect();
         let empty: Vec<u64> = Vec::new();

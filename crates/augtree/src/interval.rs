@@ -1323,6 +1323,7 @@ mod tests {
 
     #[test]
     fn presorted_and_classic_answer_identically() {
+        let _g = crate::counter_guard();
         let intervals = random_intervals(800, 1000.0, 50.0, 1);
         let queries = stabbing_queries(200, 1000.0, 2);
         let classic = IntervalTree::build_classic(&intervals, 4);
@@ -1336,6 +1337,7 @@ mod tests {
 
     #[test]
     fn parallel_build_answers_match_presorted_and_classic() {
+        let _g = crate::counter_guard();
         let intervals = random_intervals(3000, 1000.0, 50.0, 21);
         let queries = stabbing_queries(200, 1000.0, 22);
         for alpha in [2usize, 8, 64] {
@@ -1364,6 +1366,7 @@ mod tests {
 
     #[test]
     fn parallel_build_writes_fewer_than_classic() {
+        let _g = crate::counter_guard();
         let intervals = random_intervals(20_000, 1e6, 100.0, 3);
         let (_, classic) = measure(Omega::symmetric(), || {
             IntervalTree::build_classic(&intervals, 2)
@@ -1381,6 +1384,7 @@ mod tests {
 
     #[test]
     fn parallel_build_empty_and_tiny() {
+        let _g = crate::counter_guard();
         let t = IntervalTree::build_parallel(&[], 2);
         assert!(t.is_empty());
         assert_eq!(t.stab(1.0), Vec::<u64>::new());
@@ -1393,6 +1397,7 @@ mod tests {
 
     #[test]
     fn parallel_build_supports_dynamic_updates() {
+        let _g = crate::counter_guard();
         let initial = random_intervals(400, 1000.0, 30.0, 31);
         let mut tree = IntervalTree::build_parallel(&initial, 4);
         let mut reference = initial.clone();
@@ -1412,6 +1417,7 @@ mod tests {
 
     #[test]
     fn presorted_writes_fewer_than_classic() {
+        let _g = crate::counter_guard();
         let intervals = random_intervals(20_000, 1e6, 100.0, 3);
         let (_, classic) = measure(Omega::symmetric(), || {
             IntervalTree::build_classic(&intervals, 2)
@@ -1429,6 +1435,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_trees() {
+        let _g = crate::counter_guard();
         let t = IntervalTree::build_presorted(&[], 2);
         assert!(t.is_empty());
         assert_eq!(t.stab(1.0), Vec::<u64>::new());
@@ -1442,6 +1449,7 @@ mod tests {
 
     #[test]
     fn dynamic_insertions_and_deletions_match_bruteforce() {
+        let _g = crate::counter_guard();
         let initial = random_intervals(300, 1000.0, 30.0, 5);
         let mut tree = IntervalTree::build_presorted(&initial, 4);
         let mut reference = initial.clone();
@@ -1480,6 +1488,7 @@ mod tests {
 
     #[test]
     fn larger_alpha_touches_fewer_critical_nodes() {
+        let _g = crate::counter_guard();
         let initial = random_intervals(4000, 1e5, 10.0, 9);
         let mut small_alpha = IntervalTree::build_presorted(&initial, 2);
         let mut large_alpha = IntervalTree::build_presorted(&initial, 16);
@@ -1501,6 +1510,7 @@ mod tests {
 
     #[test]
     fn skewed_insertions_stay_queryable_via_reconstruction() {
+        let _g = crate::counter_guard();
         // Insert nested intervals, a worst case for the unbalanced key set.
         let mut tree = IntervalTree::build_presorted(&random_intervals(64, 100.0, 5.0, 11), 2);
         let mut reference = tree.collect_all();
@@ -1528,6 +1538,7 @@ mod tests {
             queries in proptest::collection::vec(0.0f64..1000.0, 1..20),
             alpha in 2usize..10,
         ) {
+            let _g = crate::counter_guard();
             let intervals = random_intervals(n, 1000.0, 40.0, seed);
             let tree = IntervalTree::build_presorted(&intervals, alpha);
             for &q in &queries {
@@ -1540,6 +1551,7 @@ mod tests {
             seed in 0u64..50,
             ops in proptest::collection::vec((0.0f64..100.0, 0.1f64..10.0, any::<bool>()), 1..80),
         ) {
+            let _g = crate::counter_guard();
             let mut tree = IntervalTree::build_presorted(&[], 4);
             let mut reference: Vec<Interval> = Vec::new();
             for (i, &(left, len, del)) in ops.iter().enumerate() {

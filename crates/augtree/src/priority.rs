@@ -19,7 +19,6 @@
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_asym::depth;
 use pwe_geom::point::Point2;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
 use pwe_primitives::racecheck;
 use pwe_primitives::tournament::TournamentTree;
 
@@ -49,17 +48,6 @@ struct PNode {
     size: usize,
 }
 
-/// Hot descent fields of the blocked 3-sided-query cache: the 3-sided
-/// descent reads only the stored item and the splitter, so the blocked walk
-/// never touches the cold arena at all.  Updates rewrite items in place
-/// (insert sifts down, delete promotes up), so *any* update drops the cache;
-/// the constructions re-create it.
-#[derive(Debug, Clone, Copy)]
-struct PsHot {
-    item: Option<PsPoint>,
-    splitter: f64,
-}
-
 /// A priority search tree supporting 3-sided queries
 /// (`x ∈ [x_lo, x_hi]`, `y ≥ y_bot`).
 #[derive(Debug, Clone)]
@@ -71,10 +59,6 @@ pub struct PrioritySearchTree {
     updates_since_build: usize,
     /// Number of full reconstructions triggered by updates (diagnostic).
     pub rebuilds: u64,
-    /// Cache-conscious descent cache (see [`PsHot`]).  Purely derived:
-    /// never digested, identical answers and charges on either path
-    /// ([`Self::query_3sided_flat`] keeps the flat path callable).
-    blocked: Option<BlockedTree<PsHot>>,
 }
 
 impl PrioritySearchTree {
@@ -96,12 +80,10 @@ impl PrioritySearchTree {
             built_len: points.len(),
             updates_since_build: 0,
             rebuilds: 0,
-            blocked: None,
         };
         tree.nodes.reserve(points.len());
         let mut buf = points.to_vec();
         tree.root = tree.build_classic_rec(&mut buf);
-        tree.rebuild_blocked();
         depth::add(depth::log2_ceil(points.len().max(1)));
         tree
     }
@@ -159,7 +141,6 @@ impl PrioritySearchTree {
             built_len: points.len(),
             updates_since_build: 0,
             rebuilds: 0,
-            blocked: None,
         };
         if points.is_empty() {
             return tree;
@@ -175,7 +156,6 @@ impl PrioritySearchTree {
         let priorities: Vec<u64> = sorted.iter().map(|p| f64_key(p.point.y())).collect();
         let mut tournament = TournamentTree::new(&priorities);
         tree.root = tree.build_presorted_rec(&sorted, &mut tournament, 0, sorted.len());
-        tree.rebuild_blocked();
         depth::add(depth::log2_ceil(points.len()));
         tree
     }
@@ -263,7 +243,6 @@ impl PrioritySearchTree {
             built_len: points.len(),
             updates_since_build: 0,
             rebuilds: 0,
-            blocked: None,
         };
         let n = points.len();
         if n == 0 {
@@ -293,7 +272,6 @@ impl PrioritySearchTree {
         build_par_rec(&sorted, 0, &mut valid, &mut nodes, 0, n, 0, &ledger);
         tree.nodes = nodes;
         tree.root = 0;
-        tree.rebuild_blocked();
         depth::add(2 * depth::log2_ceil(n.max(2)));
         let stats = crate::engine::AugBuildStats {
             nodes: n,
@@ -364,12 +342,9 @@ impl PrioritySearchTree {
     /// against a small-memory ledger via `scratch`.  The reported ids are
     /// output writes to the large memory, not scratch.
     ///
-    /// Uses the flat descent even when a blocked cache is live: the PST
-    /// arena is preorder (already DFS-local) and the hot payload carries the
-    /// whole item, so the blocked copy is a second working set with no
-    /// misses left to save — measured ~0.95× in `BENCH_queries.json`
-    /// (`range3sided` row).  [`Self::query_3sided_blocked`] keeps the
-    /// blocked walk callable for that A/B.
+    /// The descent walks the preorder arena directly: it is already
+    /// DFS-local, and a vEB-blocked copy measured ~0.95× (`range3sided` row
+    /// of `BENCH_queries.json`).
     pub fn query_3sided_scratch(
         &self,
         x_lo: f64,
@@ -388,49 +363,6 @@ impl PrioritySearchTree {
             &mut out,
             scratch,
         );
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
-    }
-
-    /// [`PrioritySearchTree::query_3sided`] on the flat (pre-blocked)
-    /// descent — the "before" side of the query benchmarks; identical to
-    /// the default path (which measured faster than the blocked walk).
-    pub fn query_3sided_flat(&self, x_lo: f64, x_hi: f64, y_bot: f64) -> Vec<u64> {
-        self.query_3sided(x_lo, x_hi, y_bot)
-    }
-
-    /// [`PrioritySearchTree::query_3sided`] forced through the blocked
-    /// descent cache (flat when none is live) — the "after" side of the
-    /// `range3sided` `query_compare` row.  Identical answers and ARAM
-    /// charges to the flat path; kept measurable, not default (see
-    /// [`Self::query_3sided_scratch`]).
-    pub fn query_3sided_blocked(&self, x_lo: f64, x_hi: f64, y_bot: f64) -> Vec<u64> {
-        let mut out = Vec::new();
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        match &self.blocked {
-            Some(b) if b.root() != NO_NODE => self.query_blocked_rec(
-                b,
-                b.root(),
-                x_lo,
-                x_hi,
-                y_bot,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            ),
-            _ => self.query_rec(
-                self.root,
-                x_lo,
-                x_hi,
-                y_bot,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            ),
-        }
         record_writes(out.len() as u64);
         out.sort_unstable();
         out
@@ -484,84 +416,11 @@ impl PrioritySearchTree {
         scratch.free(1);
     }
 
-    /// [`Self::query_rec`] over the blocked cache: the same pruning, visit
-    /// set and ARAM charges, reading hot fields from blocked-local memory.
-    #[allow(clippy::too_many_arguments)]
-    fn query_blocked_rec(
-        &self,
-        b: &BlockedTree<PsHot>,
-        v: u32,
-        x_lo: f64,
-        x_hi: f64,
-        y_bot: f64,
-        range_lo: f64,
-        range_hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == NO_NODE || range_lo > x_hi || range_hi < x_lo {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = b.node(v);
-        let hot = bn.payload;
-        if let Some(item) = hot.item.filter(|item| item.point.y() >= y_bot) {
-            if item.point.x() >= x_lo && item.point.x() <= x_hi {
-                out.push(item.id);
-            }
-            self.query_blocked_rec(
-                b,
-                bn.left,
-                x_lo,
-                x_hi,
-                y_bot,
-                range_lo,
-                hot.splitter,
-                out,
-                scratch,
-            );
-            self.query_blocked_rec(
-                b,
-                bn.right,
-                x_lo,
-                x_hi,
-                y_bot,
-                hot.splitter,
-                range_hi,
-                out,
-                scratch,
-            );
-        }
-        scratch.free(1);
-    }
-
-    /// (Re)build the blocked descent cache from the current arena.  Purely
-    /// derived, uncharged physical-layout maintenance (MODEL.md §5).
-    fn rebuild_blocked(&mut self) {
-        if self.root == EMPTY {
-            self.blocked = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        self.blocked = Some(BlockedTree::build(
-            nodes.len(),
-            self.root,
-            |v| (nodes[v].left, nodes[v].right),
-            |v| PsHot {
-                item: nodes[v].item,
-                splitter: nodes[v].splitter,
-            },
-        ));
-    }
-
     /// Insert a point: sift down by priority along the splitter path
     /// (`O(log n)` reads, `O(1)` amortized structural writes plus the swaps).
     pub fn insert(&mut self, p: PsPoint) {
         self.len += 1;
         self.updates_since_build += 1;
-        // Sift-down rewrites items along the path: drop the derived cache.
-        self.blocked = None;
         if self.root == EMPTY {
             self.root = self.nodes.len();
             self.nodes.push(PNode {
@@ -630,8 +489,6 @@ impl PrioritySearchTree {
         };
         self.len -= 1;
         self.updates_since_build += 1;
-        // Hole promotion rewrites items along the path: drop the derived cache.
-        self.blocked = None;
         // Promote the higher-priority child into the hole, repeatedly.
         let mut hole = v;
         loop {
@@ -870,6 +727,7 @@ mod tests {
 
     #[test]
     fn both_constructions_answer_identically() {
+        let _g = crate::counter_guard();
         let points = make_points(600, 1);
         let classic = PrioritySearchTree::build_classic(&points);
         let presorted = PrioritySearchTree::build_presorted(&points);
@@ -884,6 +742,7 @@ mod tests {
 
     #[test]
     fn duplicate_x_inputs_stay_balanced() {
+        let _g = crate::counter_guard();
         // Regression: the value-based partition used to send every x-equal
         // point right, so an all-equal-x input recursed once per point
         // (unbounded one-sided recursion).  The index split keeps the
@@ -918,6 +777,7 @@ mod tests {
 
     #[test]
     fn parallel_build_writes_fewer_than_classic() {
+        let _g = crate::counter_guard();
         let points = make_points(20_000, 3);
         let (_, classic) = measure(Omega::symmetric(), || {
             PrioritySearchTree::build_classic(&points)
@@ -935,6 +795,7 @@ mod tests {
 
     #[test]
     fn parallel_build_is_balanced_and_supports_updates() {
+        let _g = crate::counter_guard();
         let points = make_points(4096, 5);
         let (tree, stats) = PrioritySearchTree::build_parallel_with_stats(&points);
         assert!(stats.scratch.within_budget(), "{:?}", stats.scratch);
@@ -960,6 +821,7 @@ mod tests {
 
     #[test]
     fn presorted_writes_fewer_than_classic() {
+        let _g = crate::counter_guard();
         let points = make_points(20_000, 3);
         let (_, classic) = measure(Omega::symmetric(), || {
             PrioritySearchTree::build_classic(&points)
@@ -977,6 +839,7 @@ mod tests {
 
     #[test]
     fn presorted_tree_is_balanced() {
+        let _g = crate::counter_guard();
         let points = make_points(4096, 5);
         let tree = PrioritySearchTree::build_presorted(&points);
         // Median splitters keep the height within ~log2(n) + O(1).
@@ -985,6 +848,7 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
+        let _g = crate::counter_guard();
         let empty = PrioritySearchTree::build_presorted(&[]);
         assert!(empty.is_empty());
         assert!(empty.query_3sided(0.0, 1.0, 0.0).is_empty());
@@ -1001,6 +865,7 @@ mod tests {
 
     #[test]
     fn dynamic_updates_match_bruteforce() {
+        let _g = crate::counter_guard();
         let initial = make_points(300, 7);
         let mut tree = PrioritySearchTree::build_presorted(&initial);
         let mut reference = initial.clone();
@@ -1044,6 +909,7 @@ mod tests {
             width in 0.05f64..0.5,
             y in 0.0f64..1.0,
         ) {
+            let _g = crate::counter_guard();
             let points = make_points(n, seed);
             let tree = PrioritySearchTree::build_presorted(&points);
             prop_assert_eq!(

@@ -33,13 +33,11 @@ use pwe_asym::depth;
 use pwe_asym::smallmem::SmallMem;
 use pwe_geom::bbox::Rect;
 use pwe_geom::point::Point2;
-use pwe_primitives::cascade::CascadeIndex;
 use pwe_primitives::hash::DetHashSet;
 use pwe_primitives::layout::{BlockedTree, NO_NODE};
 use pwe_primitives::racecheck;
 use pwe_primitives::search::{
-    baseline_run_partition_point, branchless_partition_point, branchless_search_by_key,
-    run_partition_point,
+    branchless_partition_point, branchless_search_by_key, run_partition_point,
 };
 
 use crate::alpha::{is_critical_weight, is_critical_weight_uncharged};
@@ -49,12 +47,6 @@ use crate::engine::{
 use crate::interval::f64_key;
 
 const EMPTY: usize = usize::MAX;
-
-/// Subtrees with less total catalog weight than this are left out of the
-/// fractional-cascading index (searched instead — see
-/// [`RangeTree2D::rebuild_cascade`]): their runs are so short that a
-/// `1–2`-read search beats a bridge hop.
-const CASCADE_FRINGE_CUTOFF: usize = 128;
 
 /// A stored point with its identifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,16 +160,6 @@ pub struct RangeTree2D {
     /// blocked descent charges the exact reads of the flat one
     /// ([`Self::query_flat`] keeps the flat path callable for comparison).
     blocked: Option<BlockedTree<RtHot>>,
-    /// Fractional-cascading overlay over the augmentation runs (keys =
-    /// [`ykey`]), rebuilt at build-finalize and dropped with `blocked` on
-    /// structural mutation.  Derived and never digested like `blocked`,
-    /// but — unlike blocking — cascaded queries *charge differently*: the
-    /// per-critical-node `⌈log₂ m⌉` run searches collapse to one root
-    /// search plus `O(1)` charged bridge reads per visited node
-    /// (`Θ(log² n) → Θ(log n)` locate reads; MODEL.md §5, "Fractional
-    /// cascading").  [`Self::query_uncascaded`] keeps the searched-run
-    /// path callable for a live A/B.
-    cascade: Option<CascadeIndex<(u64, u64)>>,
 }
 
 /// The hot per-node words of the blocked descent: the split key, the
@@ -245,7 +227,6 @@ impl RangeTree2D {
             deleted: DetHashSet::default(),
             rebuilds: 0,
             blocked: None,
-            cascade: None,
         };
         if points.is_empty() {
             return (tree, AugBuildStats::default());
@@ -273,7 +254,7 @@ impl RangeTree2D {
         tree.nodes = nodes;
         tree.aug = aug;
         tree.root = 0;
-        tree.finalize_caches();
+        tree.rebuild_blocked();
         depth::add(2 * depth::log2_ceil(n.max(2)));
         let stats = AugBuildStats {
             nodes: 2 * n - 1,
@@ -302,7 +283,6 @@ impl RangeTree2D {
             deleted: DetHashSet::default(),
             rebuilds: 0,
             blocked: None,
-            cascade: None,
         };
         if points.is_empty() {
             return tree;
@@ -312,7 +292,7 @@ impl RangeTree2D {
         record_reads(points.len() as u64 * depth::log2_ceil(points.len().max(2)));
         record_writes(points.len() as u64);
         tree.root = tree.build_classic_rec(&sorted);
-        tree.finalize_caches();
+        tree.rebuild_blocked();
         depth::add(depth::log2_ceil(points.len()));
         tree
     }
@@ -480,210 +460,23 @@ impl RangeTree2D {
         self.blocked = Some(bt);
     }
 
-    /// Rebuild both derived query overlays (the blocked descent cache and
-    /// the fractional-cascading index) at build-finalize.  Pure functions
-    /// of the digested state; uncharged (MODEL.md §5).
-    fn finalize_caches(&mut self) {
-        self.rebuild_blocked();
-        self.rebuild_cascade();
-    }
-
-    /// The main run a node's cascade catalog (and cascaded report) reads:
-    /// the arena-backed segment, or the owned run once repacked / for
-    /// classic-built and dynamically created nodes.
-    #[inline]
-    fn main_run<'a>(&'a self, inner: &'a Inner) -> &'a [RtPoint] {
-        if inner.base_len > 0 {
-            &self.aug[inner.base_off..inner.base_off + inner.base_len]
-        } else {
-            &inner.owned
-        }
-    }
-
-    /// Rebuild the fractional-cascading index over the critical runs.  Only
-    /// valid in the finalize state (every overflow run empty — any insert
-    /// drops the index); catalogs are the main runs keyed by [`ykey`].
-    /// Derived overlay: uncharged, never digested, deterministic.
-    ///
-    /// **Fringe cutoff.**  Subtrees whose total catalog weight is below
-    /// [`CASCADE_FRINGE_CUTOFF`] are left out of the index: near the leaf
-    /// fringe every critical run is a handful of points, so a searched
-    /// locate costs 1–2 reads and a bridge hop (≈ 1.5) cannot pay for
-    /// itself.  Cascaded queries bridge only through indexed nodes and fall
-    /// back to the searched descent below the cutoff (charge-identical to
-    /// the uncascaded path on that fringe) — the asymptotic picture is
-    /// unchanged, the constants are what make the read drop real at bench
-    /// sizes (MODEL.md §5).
-    fn rebuild_cascade(&mut self) {
-        let finalize_state = self.root != EMPTY
-            && self
-                .nodes
-                .iter()
-                .all(|n| n.inner.as_ref().is_none_or(|i| i.extra.is_empty()));
-        if !finalize_state {
-            self.cascade = None;
-            return;
-        }
-        let mut catw = vec![0usize; self.nodes.len()];
-        Self::catw_rec(&self.nodes, self.root, &mut catw);
-        if catw[self.root] < CASCADE_FRINGE_CUTOFF {
-            self.cascade = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        let aug = &self.aug;
-        let main = |v: usize| -> &[RtPoint] {
-            match &nodes[v].inner {
-                Some(i) if i.base_len > 0 => &aug[i.base_off..i.base_off + i.base_len],
-                Some(i) => &i.owned,
-                None => &[],
-            }
-        };
-        let keep = |c: usize| {
-            if c != EMPTY && catw[c] >= CASCADE_FRINGE_CUTOFF {
-                c
-            } else {
-                EMPTY
-            }
-        };
-        let casc = CascadeIndex::build(
-            nodes.len(),
-            self.root,
-            |v| (keep(nodes[v].left), keep(nodes[v].right)),
-            |v| main(v).len(),
-            |v, i| ykey(&main(v)[i]),
-            (0, 0),
-        );
-        self.cascade = Some(casc);
-    }
-
-    /// Total catalog (main-run) weight of every subtree, bottom-up — the
-    /// fringe-cutoff measure of [`Self::rebuild_cascade`].
-    fn catw_rec(nodes: &[RNode], v: usize, catw: &mut [usize]) -> usize {
-        if v == EMPTY {
-            return 0;
-        }
-        let node = &nodes[v];
-        let own = node.inner.as_ref().map_or(0, |i| {
-            if i.base_len > 0 {
-                i.base_len
-            } else {
-                i.owned.len()
-            }
-        });
-        let w =
-            own + Self::catw_rec(nodes, node.left, catw) + Self::catw_rec(nodes, node.right, catw);
-        catw[v] = w;
-        w
-    }
-
     /// Orthogonal range query: ids of live points inside `rect`, ascending.
-    /// In the finalize state this descends the blocked cache **with
-    /// fractional cascading**: one charged root search over the cascade
-    /// list, then `O(1)` charged bridge reads per visited node instead of a
-    /// `⌈log₂ m⌉` run search per critical node (`Θ(log² n) → Θ(log n)`
-    /// locate reads; MODEL.md §5).  After a structural mutation both
-    /// overlays are dropped and the query falls back to the flat searched
-    /// descent.  [`Self::query_flat`] is the charge-identical flat-arena
-    /// mirror (pinned by `tests/layout_equiv.rs` and
-    /// `tests/cascade_equiv.rs`); [`Self::query_uncascaded`] keeps the
-    /// searched-run path callable for a live A/B.
+    /// Descends the blocked cache while one is live, with a branchless run
+    /// search at every critical node; after a structural mutation the cache
+    /// is dropped and the query falls back to the flat arena descent.
+    /// [`Self::query_flat`] is the charge-identical flat-arena mirror
+    /// (pinned by `tests/layout_equiv.rs`).
     pub fn query(&self, rect: &Rect) -> Vec<u64> {
         self.query_scratch(rect, &mut pwe_asym::smallmem::TaskScratch::untracked())
     }
 
-    /// The blocked + cascaded descent by name (identical to
-    /// [`RangeTree2D::query`] — the default path *is* the blocked cascaded
-    /// one; kept as an explicit entry point for the bench harness).
-    pub fn query_blocked(&self, rect: &Rect) -> Vec<u64> {
-        self.query_scratch(rect, &mut pwe_asym::smallmem::TaskScratch::untracked())
-    }
-
-    /// [`RangeTree2D::query`] forced onto the flat arena descent, cascaded
-    /// when the index is live: same cascade probes, same charges as the
-    /// blocked default — only the machine addresses differ — so the pair
-    /// stays a pure wall-clock A/B (falls back with `query` after
-    /// mutations).
+    /// [`RangeTree2D::query`] forced onto the flat arena descent: same
+    /// visits, same charges — only the machine addresses differ.
     pub fn query_flat(&self, rect: &Rect) -> Vec<u64> {
         let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
         let mut out = Vec::new();
-        if let Some(casc) = &self.cascade {
-            let lo_key = (f64_key(rect.y_min), 0u64);
-            self.query_casc_rec(
-                casc,
-                self.root,
-                None,
-                rect,
-                &lo_key,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        } else if self.root != EMPTY {
-            self.query_rec(
-                self.root,
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        }
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
-    }
-
-    /// The PR 7 default: blocked descent with a per-critical-node
-    /// branchless run search, no cascading.  Kept callable as the "before"
-    /// side of the `range2d_cascade` BENCH row — the read counters of this
-    /// path genuinely exceed the cascaded ones (that drop is the point of
-    /// the structure, MODEL.md §5).
-    pub fn query_uncascaded(&self, rect: &Rect) -> Vec<u64> {
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        let mut out = Vec::new();
-        if let Some(bt) = &self.blocked {
-            self.query_blocked_rec(
-                bt,
-                bt.root(),
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        } else if self.root != EMPTY {
-            self.query_rec(
-                self.root,
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        }
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
-    }
-
-    /// The pre-blocked, pre-cascade baseline: flat arena descent with the
-    /// branchy `partition_point` run search (the "before" side of the PR 7
-    /// `range2d` BENCH row, unchanged in meaning).
-    pub fn query_flat_uncascaded(&self, rect: &Rect) -> Vec<u64> {
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        let mut out = Vec::new();
-        if self.root != EMPTY {
-            self.query_rec(
-                self.root,
-                rect,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                &mut out,
-                scratch,
-            );
-        }
+        let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        self.query_rec(self.root, rect, lo, hi, &mut out, scratch);
         record_writes(out.len() as u64);
         out.sort_unstable();
         out
@@ -699,336 +492,14 @@ impl RangeTree2D {
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
     ) -> Vec<u64> {
         let mut out = Vec::new();
-        match (&self.cascade, &self.blocked) {
-            (Some(casc), Some(bt)) => {
-                let lo_key = (f64_key(rect.y_min), 0u64);
-                self.query_casc_blocked_rec(
-                    bt,
-                    casc,
-                    bt.root(),
-                    None,
-                    rect,
-                    &lo_key,
-                    f64::NEG_INFINITY,
-                    f64::INFINITY,
-                    &mut out,
-                    scratch,
-                );
-            }
-            (Some(casc), None) => {
-                // Unreachable by construction (the overlays are rebuilt and
-                // dropped together) but kept total: cascade the flat walk.
-                let lo_key = (f64_key(rect.y_min), 0u64);
-                self.query_casc_rec(
-                    casc,
-                    self.root,
-                    None,
-                    rect,
-                    &lo_key,
-                    f64::NEG_INFINITY,
-                    f64::INFINITY,
-                    &mut out,
-                    scratch,
-                );
-            }
-            (None, Some(bt)) => {
-                self.query_blocked_rec(
-                    bt,
-                    bt.root(),
-                    rect,
-                    f64::NEG_INFINITY,
-                    f64::INFINITY,
-                    &mut out,
-                    scratch,
-                );
-            }
-            (None, None) => {
-                if self.root != EMPTY {
-                    self.query_rec(
-                        self.root,
-                        rect,
-                        f64::NEG_INFINITY,
-                        f64::INFINITY,
-                        &mut out,
-                        scratch,
-                    );
-                }
-            }
+        let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        match &self.blocked {
+            Some(bt) => self.query_blocked_rec(bt, bt.root(), rect, lo, hi, &mut out, scratch),
+            None => self.query_rec(self.root, rect, lo, hi, &mut out, scratch),
         }
         record_writes(out.len() as u64);
         out.sort_unstable();
         out
-    }
-
-    /// The cascaded flat descent: the structure of [`Self::query_rec`] with
-    /// every per-critical-node run search replaced by cascade locates — one
-    /// charged [`CascadeIndex::start`] at the root, then one
-    /// [`CascadeIndex::bridge`] per visited internal node.  `from` is the
-    /// parent's `(slot, list position, is-right-child)` (None at the root).
-    #[allow(clippy::too_many_arguments)]
-    fn query_casc_rec(
-        &self,
-        casc: &CascadeIndex<(u64, u64)>,
-        v: usize,
-        from: Option<(usize, u32, bool)>,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == EMPTY || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let node = &self.nodes[v];
-        if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
-            }
-        } else {
-            let pos = match from {
-                None => casc.start(v, lo_key),
-                Some((pv, pp, right)) => casc.bridge(pv, pp, v, right, lo_key),
-            };
-            casc.prefetch_bridge(v, pos, node.left, false);
-            casc.prefetch_bridge(v, pos, node.right, true);
-            if rect.x_min <= lo && hi <= rect.x_max {
-                self.report_casc(casc, v, pos, rect, lo_key, out, scratch);
-            } else {
-                // Below the fringe cutoff the index stops: continue with
-                // the searched descent there (charge-identical to the
-                // uncascaded path on that subtree).
-                if casc.is_indexed(node.left) {
-                    self.query_casc_rec(
-                        casc,
-                        node.left,
-                        Some((v, pos, false)),
-                        rect,
-                        lo_key,
-                        lo,
-                        node.split,
-                        out,
-                        scratch,
-                    );
-                } else {
-                    self.query_rec(node.left, rect, lo, node.split, out, scratch);
-                }
-                if casc.is_indexed(node.right) {
-                    self.query_casc_rec(
-                        casc,
-                        node.right,
-                        Some((v, pos, true)),
-                        rect,
-                        lo_key,
-                        node.split,
-                        hi,
-                        out,
-                        scratch,
-                    );
-                } else {
-                    self.query_rec(node.right, rect, node.split, hi, out, scratch);
-                }
-            }
-        }
-        scratch.free(1);
-    }
-
-    /// The cascaded mirror of [`Self::report_y_range`]: `pos` is the exact
-    /// partition point of `v`'s cascade list for the query's `lo_key`, so a
-    /// critical node's scan start is one [`CascadeIndex::catalog_start`]
-    /// read — no run search — and secondary nodes bridge down to their
-    /// critical descendants at `O(1)` charged reads per edge.
-    #[allow(clippy::too_many_arguments)]
-    fn report_casc(
-        &self,
-        casc: &CascadeIndex<(u64, u64)>,
-        v: usize,
-        pos: u32,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if v == EMPTY {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let node = &self.nodes[v];
-        if let Some(inner) = &node.inner {
-            debug_assert!(inner.extra.is_empty(), "cascade implies finalize state");
-            let start = casc.catalog_start(v, pos) as usize;
-            self.scan_run_from(self.main_run(inner), start, rect, out);
-        } else if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
-            }
-        } else {
-            casc.prefetch_bridge(v, pos, node.left, false);
-            casc.prefetch_bridge(v, pos, node.right, true);
-            for (c, right) in [(node.left, false), (node.right, true)] {
-                if casc.is_indexed(c) {
-                    let pc = casc.bridge(v, pos, c, right, lo_key);
-                    self.report_casc(casc, c, pc, rect, lo_key, out, scratch);
-                } else {
-                    // Fringe cutoff: searched report below (handles EMPTY).
-                    self.report_y_range(c, rect, out, scratch);
-                }
-            }
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::query_casc_rec`]: identical cascade
-    /// probes and charges (pinned by `tests/cascade_equiv.rs`); hot split
-    /// keys come from blocked storage, `orig` reaches the cold arena.
-    #[allow(clippy::too_many_arguments)]
-    fn query_casc_blocked_rec(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        casc: &CascadeIndex<(u64, u64)>,
-        p: u32,
-        from: Option<(usize, u32, bool)>,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        let hot = bn.payload;
-        let v = bn.orig as usize;
-        if hot.is_leaf {
-            if let Some(q) = self.nodes[v].leaf {
-                if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                    out.push(q.id);
-                }
-            }
-        } else {
-            let pos = match from {
-                None => casc.start(v, lo_key),
-                Some((pv, pp, right)) => casc.bridge(pv, pp, v, right, lo_key),
-            };
-            let corig = [bn.left, bn.right].map(|cb| {
-                if cb == NO_NODE {
-                    EMPTY
-                } else {
-                    bt.node(cb).orig as usize
-                }
-            });
-            casc.prefetch_bridge(v, pos, corig[0], false);
-            casc.prefetch_bridge(v, pos, corig[1], true);
-            if rect.x_min <= lo && hi <= rect.x_max {
-                self.report_casc_blocked(bt, casc, p, pos, rect, lo_key, out, scratch);
-            } else {
-                // Same fringe-cutoff decision as the flat mirror (made on
-                // the child's *orig* slot, so both paths agree exactly).
-                for (cb, b_lo, b_hi, right) in [
-                    (bn.left, lo, hot.split, false),
-                    (bn.right, hot.split, hi, true),
-                ] {
-                    if cb != NO_NODE && casc.is_indexed(bt.node(cb).orig as usize) {
-                        self.query_casc_blocked_rec(
-                            bt,
-                            casc,
-                            cb,
-                            Some((v, pos, right)),
-                            rect,
-                            lo_key,
-                            b_lo,
-                            b_hi,
-                            out,
-                            scratch,
-                        );
-                    } else {
-                        self.query_blocked_rec(bt, cb, rect, b_lo, b_hi, out, scratch);
-                    }
-                }
-            }
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::report_casc`] (same cascade probes and
-    /// charges; arena-backed runs are reached from the hot payload alone).
-    #[allow(clippy::too_many_arguments)]
-    fn report_casc_blocked(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        casc: &CascadeIndex<(u64, u64)>,
-        p: u32,
-        pos: u32,
-        rect: &Rect,
-        lo_key: &(u64, u64),
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        let v = bn.orig as usize;
-        match bn.payload.kind {
-            RtKind::Critical => {
-                let hot = bn.payload;
-                let start = casc.catalog_start(v, pos) as usize;
-                let main =
-                    &self.aug[hot.base_off as usize..hot.base_off as usize + hot.base_len as usize];
-                self.scan_run_from(main, start, rect, out);
-            }
-            RtKind::CriticalCold => {
-                let inner = self.nodes[v]
-                    .inner
-                    .as_ref()
-                    .expect("critical kind implies inner");
-                debug_assert!(inner.extra.is_empty(), "cascade implies finalize state");
-                let start = casc.catalog_start(v, pos) as usize;
-                self.scan_run_from(self.main_run(inner), start, rect, out);
-            }
-            RtKind::Leaf => {
-                if let Some(q) = self.nodes[v].leaf {
-                    if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                        out.push(q.id);
-                    }
-                }
-            }
-            RtKind::Secondary => {
-                let corig = [bn.left, bn.right].map(|cb| {
-                    if cb == NO_NODE {
-                        EMPTY
-                    } else {
-                        bt.node(cb).orig as usize
-                    }
-                });
-                casc.prefetch_bridge(v, pos, corig[0], false);
-                casc.prefetch_bridge(v, pos, corig[1], true);
-                for (cb, right) in [(bn.left, false), (bn.right, true)] {
-                    if cb == NO_NODE {
-                        continue;
-                    }
-                    let c = bt.node(cb).orig as usize;
-                    if casc.is_indexed(c) {
-                        let pc = casc.bridge(v, pos, c, right, lo_key);
-                        self.report_casc_blocked(bt, casc, cb, pc, rect, lo_key, out, scratch);
-                    } else {
-                        // Fringe cutoff: searched blocked report below.
-                        self.report_y_blocked(bt, cb, rect, out, scratch);
-                    }
-                }
-            }
-        }
-        scratch.free(1);
     }
 
     /// The blocked mirror of [`Self::query_rec`]: same logical visits, same
@@ -1094,7 +565,7 @@ impl RangeTree2D {
                 let hot = bn.payload;
                 let main =
                     &self.aug[hot.base_off as usize..hot.base_off as usize + hot.base_len as usize];
-                self.report_run(main, rect, out, true);
+                self.report_run(main, rect, out);
             }
             RtKind::CriticalCold => {
                 let node = &self.nodes[bn.orig as usize];
@@ -1104,8 +575,8 @@ impl RangeTree2D {
                 } else {
                     &inner.owned
                 };
-                self.report_run(main, rect, out, true);
-                self.report_run(&inner.extra, rect, out, true);
+                self.report_run(main, rect, out);
+                self.report_run(&inner.extra, rect, out);
             }
             RtKind::Leaf => {
                 if let Some(q) = self.nodes[bn.orig as usize].leaf {
@@ -1154,35 +625,16 @@ impl RangeTree2D {
     }
 
     /// Report the points of one y-sorted run whose y lies in the query's
-    /// y-range: a binary search for the first candidate (`O(log m)` probe
-    /// reads over contiguous memory), then an output-sensitive scan.
-    ///
-    /// `branchless` selects the machine code of the lower-bound probe loop
-    /// only — the blocked descent uses the prefetching conditional-move
-    /// search, the flat baseline keeps the pre-blocked branchy
-    /// `partition_point` — the probes, result and read charge are
-    /// identical either way, so `query` and `query_flat` stay a pure
-    /// wall-clock A/B.
-    fn report_run(&self, run: &[RtPoint], rect: &Rect, out: &mut Vec<u64>, branchless: bool) {
+    /// y-range: a branchless binary search for the first candidate
+    /// (`O(log m)` probe reads over contiguous memory), then an
+    /// output-sensitive scan (one charged read per visited element,
+    /// stopping past the query's upper y bound).
+    fn report_run(&self, run: &[RtPoint], rect: &Rect, out: &mut Vec<u64>) {
         if run.is_empty() {
             return;
         }
         let lo_key = (f64_key(rect.y_min), 0u64);
-        let pred = |p: &RtPoint| ykey(p) < lo_key;
-        let start = if branchless {
-            run_partition_point(run, pred)
-        } else {
-            baseline_run_partition_point(run, pred)
-        };
-        self.scan_run_from(run, start, rect, out);
-    }
-
-    /// Scan a y-sorted run from a pre-located start index (one charged read
-    /// per visited element, stopping past the query's upper y bound).  The
-    /// tail shared by the searched-run paths ([`Self::report_run`]) and the
-    /// cascaded ones, where `start` comes from a bridge-followed catalog
-    /// position instead of a per-run search.
-    fn scan_run_from(&self, run: &[RtPoint], start: usize, rect: &Rect, out: &mut Vec<u64>) {
+        let start = run_partition_point(run, |p| ykey(p) < lo_key);
         for p in &run[start..] {
             record_read();
             if f64_key(p.point.y()) > f64_key(rect.y_max) {
@@ -1219,8 +671,8 @@ impl RangeTree2D {
             } else {
                 &inner.owned
             };
-            self.report_run(main, rect, out, false);
-            self.report_run(&inner.extra, rect, out, false);
+            self.report_run(main, rect, out);
+            self.report_run(&inner.extra, rect, out);
         } else if let Some(p) = node.leaf {
             if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
                 out.push(p.id);
@@ -1245,11 +697,9 @@ impl RangeTree2D {
             return stats;
         }
         // A leaf split (and a possible subtree rebuild below) changes the
-        // outer-tree shape, and the overflow splice invalidates cascade
-        // catalogs: drop both derived overlays; queries fall back to the
-        // flat searched descent until the next build-finalize.
+        // outer-tree shape: drop the derived descent cache; queries fall
+        // back to the flat descent until the next build-finalize.
         self.blocked = None;
-        self.cascade = None;
         // Descend to a leaf.
         let mut path = Vec::new();
         let mut v = self.root;
@@ -1701,6 +1151,7 @@ mod tests {
 
     #[test]
     fn queries_match_bruteforce() {
+        let _g = crate::counter_guard();
         let points = make_points(1500, 1);
         for alpha in [2usize, 4, 16] {
             let tree = RangeTree2D::build(&points, alpha);
@@ -1716,6 +1167,7 @@ mod tests {
 
     #[test]
     fn classic_and_engine_answer_identically() {
+        let _g = crate::counter_guard();
         let points = make_points(1200, 13);
         for alpha in [2usize, 8, 64] {
             let classic = RangeTree2D::build_classic(&points, alpha);
@@ -1741,6 +1193,7 @@ mod tests {
 
     #[test]
     fn engine_writes_fewer_than_classic_textbook() {
+        let _g = crate::counter_guard();
         let points = make_points(20_000, 17);
         let (_, classic) = measure(Omega::symmetric(), || {
             RangeTree2D::build_classic(&points, 2)
@@ -1757,6 +1210,7 @@ mod tests {
 
     #[test]
     fn aug_arena_is_exactly_sized_and_packed() {
+        let _g = crate::counter_guard();
         let points = make_points(3000, 19);
         for alpha in [2usize, 8, 64] {
             let (tree, stats) = RangeTree2D::build_with_stats(&points, alpha);
@@ -1780,6 +1234,7 @@ mod tests {
 
     #[test]
     fn overflow_runs_repack_and_stay_queryable() {
+        let _g = crate::counter_guard();
         // Enough inserts into one engine-built tree to overflow several
         // nodes' √(main) overflow caps (forcing arena → owned repacks)
         // without doubling the root's weight (which would rebuild instead).
@@ -1808,6 +1263,7 @@ mod tests {
 
     #[test]
     fn alpha_labeling_reduces_augmentation() {
+        let _g = crate::counter_guard();
         let points = make_points(8000, 3);
         let dense = RangeTree2D::build(&points, 2);
         let sparse = RangeTree2D::build(&points, 16);
@@ -1822,6 +1278,7 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
+        let _g = crate::counter_guard();
         let empty = RangeTree2D::build(&[], 4);
         assert!(empty.is_empty());
         assert!(empty.query(&Rect::new(0.0, 1.0, 0.0, 1.0)).is_empty());
@@ -1837,6 +1294,7 @@ mod tests {
 
     #[test]
     fn dynamic_insert_and_delete_match_bruteforce() {
+        let _g = crate::counter_guard();
         let initial = make_points(400, 5);
         let mut tree = RangeTree2D::build(&initial, 4);
         let mut reference = initial.clone();
@@ -1865,6 +1323,7 @@ mod tests {
 
     #[test]
     fn skewed_insertions_trigger_rebuilds_and_stay_correct() {
+        let _g = crate::counter_guard();
         let mut tree = RangeTree2D::build(&make_points(64, 9), 2);
         let mut reference = tree.collect_live();
         for i in 0..400u64 {
@@ -1883,6 +1342,7 @@ mod tests {
 
     #[test]
     fn larger_alpha_touches_fewer_critical_nodes_per_insert() {
+        let _g = crate::counter_guard();
         let points = make_points(4000, 11);
         let mut dense = RangeTree2D::build(&points, 2);
         let mut sparse = RangeTree2D::build(&points, 16);
@@ -1914,6 +1374,7 @@ mod tests {
             y in 0.0f64..0.7,
             w in 0.05f64..0.3,
         ) {
+            let _g = crate::counter_guard();
             let points = make_points(n, seed);
             let tree = RangeTree2D::build(&points, alpha);
             let rect = Rect::new(x, x + w, y, y + w);

@@ -14,7 +14,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use proptest::prelude::*;
 use pwe_asym::CounterSnapshot;
 use pwe_augtree::interval::IntervalTree;
-use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_geom::bbox::Rect;
 use pwe_geom::generators::{random_intervals, uniform_points_2d};
@@ -46,17 +45,6 @@ fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
         .into_iter()
         .enumerate()
         .map(|(i, point)| RtPoint {
-            point,
-            id: i as u64,
-        })
-        .collect()
-}
-
-fn ps_points(n: usize, seed: u64) -> Vec<PsPoint> {
-    uniform_points_2d(n, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| PsPoint {
             point,
             id: i as u64,
         })
@@ -152,26 +140,6 @@ proptest! {
         }
     }
 
-    // 3-sided queries: the forced-blocked descent (`query_3sided_blocked`,
-    // kept callable although the flat arena is the measured default) vs
-    // the flat path.
-    #[test]
-    fn prop_priority_blocked_equals_flat(
-        n in 0usize..500,
-        seed in 0u64..50,
-        queries in proptest::collection::vec((0.0f64..1.0, 0.0f64..0.6, 0.0f64..1.0), 1..12),
-    ) {
-        let _g = counter_guard();
-        let pts = ps_points(n, seed);
-        let tree = PrioritySearchTree::build_parallel(&pts);
-        for &(x_lo, w, y_bot) in &queries {
-            let (a, fr, fw) = charged(|| tree.query_3sided_flat(x_lo, x_lo + w, y_bot));
-            let (b, br, bw) = charged(|| tree.query_3sided_blocked(x_lo, x_lo + w, y_bot));
-            prop_assert_eq!(&a, &b, "answers q=({}, {}, {})", x_lo, w, y_bot);
-            prop_assert_eq!((fr, fw), (br, bw), "counters q=({}, {}, {})", x_lo, w, y_bot);
-        }
-    }
-
     // Tombstoned points stay invisible on both paths (deletion does not
     // drop the cache — it only filters the report).
     #[test]
@@ -195,25 +163,73 @@ proptest! {
     }
 }
 
-/// A structural mutation drops the cache; queries must stay correct (flat
-/// fallback) and a fresh build restores blocked/flat equivalence.
+/// A structural mutation (leaf split plus overflow-run splice) drops the
+/// cache: `query` must fall back to the flat descent — answer- and
+/// charge-identical to `query_flat`, reporting every live point on a full
+/// box — across α ∈ {2, 8, 64} and up to 20 inserts; a fresh build over the
+/// live points restores the blocked cache and blocked/flat equivalence.
 #[test]
 fn insert_drops_cache_and_rebuild_restores_equivalence() {
     let _g = counter_guard();
-    let mut tree = RangeTree2D::build(&rt_points(300, 9), 8);
-    tree.insert(RtPoint {
-        point: Point2::new([0.5, 0.5]),
-        id: 10_000,
-    });
-    let rect = Rect {
+    let full = Rect {
         x_min: 0.0,
         x_max: 1.0,
         y_min: 0.0,
         y_max: 1.0,
     };
-    let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-    let (b, br, bw) = charged(|| tree.query(&rect));
-    assert_eq!(a, b, "post-insert answers (flat fallback)");
-    assert_eq!((fr, fw), (br, bw), "post-insert counters");
-    assert!(a.contains(&10_000));
+    let part = Rect {
+        x_min: 0.2,
+        x_max: 0.7,
+        y_min: 0.1,
+        y_max: 0.6,
+    };
+    for alpha in ALPHAS {
+        for &(n, seed, extra) in &[
+            (300usize, 9u64, 1usize),
+            (2, 1, 20),
+            (57, 23, 7),
+            (299, 41, 20),
+        ] {
+            let mut tree = RangeTree2D::build(&rt_points(n, seed), alpha);
+            let mut state = seed.wrapping_mul(0x9e37_79b9) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            for i in 0..extra {
+                tree.insert(RtPoint {
+                    point: Point2::new([next(), next()]),
+                    id: 10_000 + i as u64,
+                });
+            }
+            for rect in [full, part] {
+                let (a, fr, fw) = charged(|| tree.query_flat(&rect));
+                let (b, br, bw) = charged(|| tree.query(&rect));
+                assert_eq!(a, b, "post-insert answers α={alpha} n={n} extra={extra}");
+                assert_eq!(
+                    (fr, fw),
+                    (br, bw),
+                    "post-insert counters α={alpha} n={n} extra={extra}"
+                );
+            }
+            let all = tree.query(&full);
+            assert_eq!(all.len(), tree.len(), "full box α={alpha} n={n}");
+            assert!(all.contains(&10_000));
+
+            let rebuilt = RangeTree2D::build(&tree.collect_live(), alpha);
+            for rect in [full, part] {
+                let (a, fr, fw) = charged(|| rebuilt.query_flat(&rect));
+                let (b, br, bw) = charged(|| rebuilt.query(&rect));
+                assert_eq!(a, b, "rebuilt answers α={alpha} n={n} extra={extra}");
+                assert_eq!(
+                    (fr, fw),
+                    (br, bw),
+                    "rebuilt counters α={alpha} n={n} extra={extra}"
+                );
+                assert_eq!(a, tree.query(&rect), "rebuild keeps the answers");
+            }
+        }
+    }
 }

@@ -65,27 +65,15 @@ fn bench_queries(c: &mut Criterion) {
             })
             .collect()
     };
-    // Layout A/B with cascading held off on both sides (the PR 7 rows) …
     group.bench_function("range2d_flat", |b| {
         b.iter(|| {
             rects
                 .iter()
-                .map(|r| rtree.query_flat_uncascaded(r).len())
+                .map(|r| rtree.query_flat(r).len())
                 .sum::<usize>()
         })
     });
     group.bench_function("range2d_blocked", |b| {
-        b.iter(|| {
-            rects
-                .iter()
-                .map(|r| rtree.query_uncascaded(r).len())
-                .sum::<usize>()
-        })
-    });
-    // … and the fractional-cascading A/B on top of the blocked layout (the
-    // `range2d_cascade` speedup row): same answers, strictly fewer model
-    // reads; wall-clock is the honest open question the row tracks.
-    group.bench_function("range2d_cascaded", |b| {
         b.iter(|| rects.iter().map(|r| rtree.query(r).len()).sum::<usize>())
     });
 

@@ -23,16 +23,17 @@
 //!   parallel allocation-lean engine; `BENCH_augtree.json` holds committed
 //!   trajectory points of this schema).
 //! * **`--queries`** — the flat-vs-blocked query A/B: one `query_compare`
-//!   line per query workload (`interval_stab`, `range2d`, `range3sided`,
-//!   `kdnn`, `delaunay_locate`), timing the same query stream against the
-//!   flat arena descent and the vEB-blocked descent of the same structure
-//!   (for `delaunay_locate`, the one-at-a-time exact predicates against the
-//!   width-filtered batch kernels).  The stream is processed in batches of
-//!   `--qbatch` queries (default 256).  Both sides must report identical
-//!   answers and identical read/write/depth counters — the blocked layout
-//!   is a machine-level rearrangement, invisible to the cost model — and
-//!   the line records both, so a committed `BENCH_queries.json` row is
-//!   self-validating.
+//!   line per query workload (`interval_stab`, `range2d`,
+//!   `delaunay_locate`, `incircle_simd`), timing the same query stream
+//!   against the flat arena descent and the vEB-blocked descent of the same
+//!   structure (for `delaunay_locate`, the one-at-a-time exact predicates
+//!   against the width-filtered batch kernels; for `incircle_simd`, the
+//!   scalar batch loop against the dispatched SIMD kernel).  The stream is
+//!   processed in batches of `--qbatch` queries (default 256).  Both sides
+//!   must report identical answers and identical read/write/depth
+//!   counters — the blocked layout is a machine-level rearrangement,
+//!   invisible to the cost model — and the line records both, so a
+//!   committed `BENCH_queries.json` row is self-validating.
 //! * **`--serve`** — the geometry-as-a-service load driver: one line per
 //!   `(loop, threads)` driving a preloaded, sharded
 //!   [`pwe_service::GeometryService`] with a writer arm publishing churn
@@ -99,8 +100,7 @@ use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_delaunay::{triangulate_baseline, triangulate_write_efficient};
 use pwe_geom::generators::{
-    random_intervals, random_three_sided_queries, stabbing_queries, uniform_grid_points,
-    uniform_points_2d,
+    random_intervals, stabbing_queries, uniform_grid_points, uniform_points_2d,
 };
 use pwe_geom::predicates::is_ccw;
 use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint, Rect};
@@ -136,18 +136,11 @@ const SWEEP_WORKLOADS: &[&str] = &["delaunay", "sort", "interval", "priority", "
 /// vEB-blocked descent (`delaunay_locate` compares one-at-a-time exact
 /// predicates against the width-filtered batch kernels; `incircle_simd`
 /// compares the scalar batch loop against the dispatched AVX2 kernel).
-/// Answers must match exactly on every row.  Counters match exactly on
-/// every row except `range2d_cascade`, which compares the uncascaded
-/// blocked descent against the fractionally cascaded one: cascading is a
-/// *model-level* read optimisation, so its row must show equal writes and
-/// depth but strictly fewer reads (`writes_equal` / `depth_equal` /
-/// `reads_reduced` fields — MODEL.md §3.3).
+/// Answers and read/write/depth counters must match exactly on every row
+/// (MODEL.md §3.3).
 const QUERY_WORKLOADS: &[&str] = &[
     "interval_stab",
     "range2d",
-    "range2d_cascade",
-    "range3sided",
-    "kdnn",
     "delaunay_locate",
     "incircle_simd",
 ];
@@ -569,7 +562,7 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                 answers_equal: sf == sb,
             }
         }
-        "range2d" | "range2d_cascade" => {
+        "range2d" => {
             let n = n_override.unwrap_or(200_000);
             let points: Vec<RtPoint> = uniform_points_2d(n, 31)
                 .into_iter()
@@ -595,31 +588,16 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                     Rect::new(x, x + w, y, y + h)
                 })
                 .collect();
-            // `range2d` A/Bs the physical layout with cascading held off
-            // on both sides (flat vs vEB-blocked descent — the PR 7 row);
-            // `range2d_cascade` A/Bs cascading itself: the uncascaded
-            // blocked descent against the fractionally cascaded default.
-            let cascade = workload == "range2d_cascade";
-            let before: &dyn Fn(&Rect) -> Vec<u64> = if cascade {
-                &|rect| tree.query_uncascaded(rect)
-            } else {
-                &|rect| tree.query_flat_uncascaded(rect)
-            };
-            let after: &dyn Fn(&Rect) -> Vec<u64> = if cascade {
-                &|rect| tree.query(rect)
-            } else {
-                &|rect| tree.query_uncascaded(rect)
-            };
             for rect in qs.iter().take(64) {
-                before(rect);
-                after(rect);
+                tree.query_flat(rect);
+                tree.query(rect);
             }
             let (sf, flat) = best_of(QUERY_REPS, || {
                 measure(omega, || {
                     let mut acc = 0u64;
                     for chunk in qs.chunks(qbatch) {
                         for rect in chunk {
-                            acc = fold_ids(acc, &before(rect));
+                            acc = fold_ids(acc, &tree.query_flat(rect));
                         }
                     }
                     acc
@@ -630,94 +608,7 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                     let mut acc = 0u64;
                     for chunk in qs.chunks(qbatch) {
                         for rect in chunk {
-                            acc = fold_ids(acc, &after(rect));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
-        "range3sided" => {
-            let n = n_override.unwrap_or(200_000);
-            let points: Vec<PsPoint> = uniform_points_2d(n, 23)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| PsPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let tree = PrioritySearchTree::build_parallel(&points);
-            let qs = random_three_sided_queries((n / 50).clamp(100, 4_000), 0.01, 79);
-            for &(lo, hi, y) in qs.iter().take(64) {
-                tree.query_3sided_flat(lo, hi, y);
-                tree.query_3sided_blocked(lo, hi, y);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &(lo, hi, y) in chunk {
-                            acc = fold_ids(acc, &tree.query_3sided_flat(lo, hi, y));
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &(lo, hi, y) in chunk {
-                            acc = fold_ids(acc, &tree.query_3sided_blocked(lo, hi, y));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
-        "kdnn" => {
-            let n = n_override.unwrap_or(200_000);
-            let points = uniform_points_2d(n, 11);
-            let (tree, _) = build_p_batched(&points, recommended_p(n), 16, 13);
-            let qs = uniform_points_2d((n / 10).clamp(200, 20_000), 99);
-            for q in qs.iter().take(128) {
-                tree.nearest_flat(q);
-                tree.nearest_blocked(q);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for q in chunk {
-                            let hit = tree.nearest_flat(q).map(u64::from).unwrap_or(u64::MAX);
-                            acc = fold_ids(acc, &[hit]);
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for q in chunk {
-                            let hit = tree.nearest_blocked(q).map(u64::from).unwrap_or(u64::MAX);
-                            acc = fold_ids(acc, &[hit]);
+                            acc = fold_ids(acc, &tree.query(rect));
                         }
                     }
                     acc
@@ -877,12 +768,9 @@ fn run_query_child(workload: &str, n_override: Option<usize>, qbatch: usize) -> 
     let c = run_query_compare(workload, n_override, qbatch);
     let flat_ms = c.flat.elapsed.as_secs_f64() * 1e3;
     let blocked_ms = c.blocked.elapsed.as_secs_f64() * 1e3;
-    let writes_equal = c.flat.writes == c.blocked.writes;
-    let depth_equal = c.flat.depth == c.blocked.depth;
-    let counters_equal = c.flat.reads == c.blocked.reads && writes_equal && depth_equal;
-    // Strict: only the cascade row may (and must) set it — every other row
-    // keeps reads exactly equal (MODEL.md §3.3).
-    let reads_reduced = c.blocked.reads < c.flat.reads;
+    let counters_equal = c.flat.reads == c.blocked.reads
+        && c.flat.writes == c.blocked.writes
+        && c.flat.depth == c.blocked.depth;
     format!(
         "{{\"mode\":\"query_compare\",\"workload\":\"{workload}\",\"n\":{},\
          \"queries\":{},\"qbatch\":{qbatch},\"threads\":{threads},{},\
@@ -890,9 +778,7 @@ fn run_query_child(workload: &str, n_override: Option<usize>, qbatch: usize) -> 
          \"gain\":{:.3},\
          \"flat_reads\":{},\"blocked_reads\":{},\
          \"flat_writes\":{},\"blocked_writes\":{},\
-         \"counters_equal\":{counters_equal},\"writes_equal\":{writes_equal},\
-         \"depth_equal\":{depth_equal},\"reads_reduced\":{reads_reduced},\
-         \"answers_equal\":{}}}",
+         \"counters_equal\":{counters_equal},\"answers_equal\":{}}}",
         c.n,
         c.queries,
         thread_fields(),
@@ -1062,12 +948,10 @@ fn run_smoke() {
     eprintln!("sweep smoke ok");
 
     // Query A/B: at a small n, every compared pair must agree on every
-    // answer.  All rows but `range2d_cascade` must also agree on every
-    // counter — their "after" side is machine bookkeeping (blocked layout,
-    // SIMD kernel), invisible to the ARAM model.  The cascade row is the
-    // one *model-level* optimisation: it must keep writes and depth equal
-    // and strictly reduce reads.  (No wall-clock assertion here; gains are
-    // claimed only by committed full-size BENCH rows.)
+    // answer and every counter — the "after" side is machine bookkeeping
+    // (blocked layout, SIMD kernel), invisible to the ARAM model.  (No
+    // wall-clock assertion here; gains are claimed only by committed
+    // full-size BENCH rows.)
     for workload in QUERY_WORKLOADS {
         let line = run_query_child(workload, Some(20_000), DEFAULT_QBATCH);
         for key in ["n", "queries", "qbatch", "flat_millis", "blocked_millis"] {
@@ -1076,25 +960,10 @@ fn run_smoke() {
                 "smoke: key {key:?} missing or non-numeric in {line}"
             );
         }
-        if *workload == "range2d_cascade" {
-            assert!(
-                line.contains("\"writes_equal\":true"),
-                "smoke: {workload} cascaded path moved the write bill: {line}"
-            );
-            assert!(
-                line.contains("\"depth_equal\":true"),
-                "smoke: {workload} cascaded path moved the depth bill: {line}"
-            );
-            assert!(
-                line.contains("\"reads_reduced\":true"),
-                "smoke: {workload} cascading must cut the read bill: {line}"
-            );
-        } else {
-            assert!(
-                line.contains("\"counters_equal\":true"),
-                "smoke: {workload} blocked path moved the counters: {line}"
-            );
-        }
+        assert!(
+            line.contains("\"counters_equal\":true"),
+            "smoke: {workload} blocked path moved the counters: {line}"
+        );
         assert!(
             line.contains("\"answers_equal\":true"),
             "smoke: {workload} blocked path changed an answer: {line}"

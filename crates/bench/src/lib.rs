@@ -480,8 +480,16 @@ pub fn smallmem_experiment(n: usize) -> Vec<SmallMemRow> {
 mod tests {
     use super::*;
 
+    /// Serializes these tests: the experiments compare process-global ARAM
+    /// counter deltas, so no other test may charge them concurrently.
+    fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
+        static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn sort_experiment_shows_write_gap() {
+        let _g = counter_guard();
         let rows = sort_experiment(20_000, Omega::new(10));
         assert_eq!(rows.len(), 2);
         let merge = &rows[0].report;
@@ -492,12 +500,14 @@ mod tests {
 
     #[test]
     fn delaunay_experiment_shows_write_gap() {
+        let _g = counter_guard();
         let rows = delaunay_experiment(2_000, Omega::new(10));
         assert!(rows[1].report.writes < rows[0].report.writes);
     }
 
     #[test]
     fn kdtree_experiment_reports_all_p_values() {
+        let _g = counter_guard();
         let (rows, notes) = kdtree_experiment(5_000, Omega::new(10));
         assert_eq!(rows.len(), 5);
         assert_eq!(notes.len(), 5);
@@ -507,6 +517,7 @@ mod tests {
 
     #[test]
     fn smallmem_experiment_within_every_budget() {
+        let _g = counter_guard();
         for row in smallmem_experiment(3_000) {
             assert!(row.scratch.high_water > 0, "{} ledger is dead", row.label);
             assert!(
@@ -521,6 +532,7 @@ mod tests {
 
     #[test]
     fn interval_experiment_alpha_sweep_runs() {
+        let _g = counter_guard();
         let rows = interval_experiment(3_000, &[2, 8], Omega::new(10));
         // classic + post-sorted + 2 rows per α.
         assert_eq!(rows.len(), 2 + 2 * 2);

@@ -526,6 +526,7 @@ mod tests {
 
     #[test]
     fn classic_build_invariants_and_queries() {
+        let _g = crate::counter_guard();
         let pts = uniform_points_2d(5000, 1);
         let tree = build_classic(&pts, 8);
         assert_eq!(tree.len(), 5000);
@@ -548,6 +549,7 @@ mod tests {
 
     #[test]
     fn p_batched_build_matches_bruteforce_queries() {
+        let _g = crate::counter_guard();
         let pts = uniform_points_2d(8000, 3);
         let p = recommended_p(pts.len());
         let (tree, stats) = build_p_batched(&pts, p, 8, 7);
@@ -583,6 +585,7 @@ mod tests {
 
     #[test]
     fn p_batched_height_is_close_to_classic() {
+        let _g = crate::counter_guard();
         let pts = uniform_points_2d(20_000, 11);
         let classic = build_classic(&pts, 8);
         let (batched, _) = build_p_batched(&pts, recommended_p(pts.len()), 8, 5);
@@ -597,6 +600,7 @@ mod tests {
 
     #[test]
     fn p_batched_writes_fewer_than_classic() {
+        let _g = crate::counter_guard();
         let pts = uniform_points_2d(30_000, 13);
         let (_, classic_report) = measure(Omega::symmetric(), || build_classic(&pts, 8));
         let (_, batched_report) = measure(Omega::symmetric(), || {
@@ -612,6 +616,7 @@ mod tests {
 
     #[test]
     fn three_dimensional_build() {
+        let _g = crate::counter_guard();
         let pts = uniform_points_k::<3>(4000, 17);
         let (tree, _) = build_p_batched(&pts, 64, 8, 3);
         tree.check_invariants().expect("invariants");
@@ -631,6 +636,7 @@ mod tests {
 
     #[test]
     fn tiny_inputs() {
+        let _g = crate::counter_guard();
         let pts = uniform_points_2d(3, 1);
         let (tree, _) = build_p_batched(&pts, 4, 2, 1);
         tree.check_invariants().expect("invariants");
@@ -657,6 +663,7 @@ mod tests {
             qy in 0.0f64..0.8,
             w in 0.05f64..0.4,
         ) {
+            let _g = crate::counter_guard();
             let pts = uniform_points_2d(n, seed);
             let (tree, _) = build_p_batched(&pts, 16, 4, seed);
             let query = BBoxK::new([qx, qy], [qx + w, qy + w]);
@@ -672,6 +679,7 @@ mod tests {
             qx in 0.0f64..1.0,
             qy in 0.0f64..1.0,
         ) {
+            let _g = crate::counter_guard();
             let pts = uniform_points_2d(n, seed);
             let tree = build_classic(&pts, 4);
             let q = PointK::new([qx, qy]);
@@ -690,6 +698,7 @@ mod tests {
             qy in 0.0f64..1.0,
             eps in 0.0f64..2.0,
         ) {
+            let _g = crate::counter_guard();
             let pts = uniform_points_2d(n, seed);
             let (tree, _) = build_p_batched(&pts, 16, 4, seed);
             let q = PointK::new([qx, qy]);

@@ -33,6 +33,15 @@ pub mod build;
 pub mod dynamic;
 pub mod tree;
 
+/// Serializes this crate's unit tests that run instrumented code: cost
+/// assertions difference the process-global ARAM counters, so no other
+/// test may charge them concurrently.
+#[cfg(test)]
+pub(crate) fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use build::{
     build_classic, build_p_batched, p_batched_scratch_budget, recommended_p, BuildStats,
     CLASSIC_SCRATCH_C,

@@ -124,8 +124,8 @@ pub struct KdTree<const K: usize> {
     /// build-finalize and dropped by any structural mutation (the dynamic
     /// wrappers in [`crate::dynamic`]).  Purely derived: never part of the
     /// structure's identity, identical answers and charges on either path
-    /// ([`Self::range_query_flat`] / [`Self::nearest_flat`] keep the flat
-    /// path callable).
+    /// ([`Self::range_query_flat`] keeps the flat path callable).  Nearest
+    /// neighbour always walks the flat arena.
     pub(crate) blocked: Option<KdBlocked>,
 }
 
@@ -390,14 +390,10 @@ impl<const K: usize> KdTree<K> {
     /// Nearest-neighbour search returning the index and the distance, with
     /// the (1+ε) pruning rule (ε = 0 gives the exact answer).
     ///
-    /// Uses the flat descent even when a blocked cache is live.  Inlining
-    /// the leaf bucket heads into the blocked payload (plus packing the
-    /// tails contiguously) recovered most of the blocked walk's earlier
-    /// ~0.85× regression — the `kdnn` row now measures ~0.97–1.06×, parity
-    /// within noise — but NN backtracking keeps the upper tree
-    /// cache-resident either way and the flat walk still wins marginally
-    /// on median, so it stays the default.  [`Self::nearest_blocked`]
-    /// keeps the blocked walk callable for that A/B.
+    /// Walks the flat arena even when a blocked cache is live: NN
+    /// backtracking keeps the upper tree cache-resident either way, and a
+    /// blocked walk measured parity within noise (~0.97–1.06×, `kdnn` row
+    /// of `BENCH_queries.json`).
     pub fn nearest_impl(&self, q: &PointK<K>, eps: f64) -> Option<(u32, f64)> {
         if self.root == EMPTY {
             return None;
@@ -406,32 +402,6 @@ impl<const K: usize> KdTree<K> {
         let shrink = 1.0 / ((1.0 + eps) * (1.0 + eps));
         self.nn_rec(self.root, &BBoxK::everything(), q, shrink, &mut best);
         best.map(|(i, d2)| (i, d2.sqrt()))
-    }
-
-    /// Exact nearest neighbour on the flat (pre-blocked) descent — the
-    /// "before" side of the query benchmarks; identical to [`Self::nearest`]
-    /// (which measured faster than the blocked walk and is the default).
-    pub fn nearest_flat(&self, q: &PointK<K>) -> Option<u32> {
-        self.nearest(q)
-    }
-
-    /// Exact nearest neighbour forced through the blocked descent cache
-    /// (flat when no cache is live) — the "after" side of the `kdnn`
-    /// `query_compare` row.  Identical answers and ARAM charges to
-    /// [`Self::nearest`]; kept measurable, not default (see
-    /// [`Self::nearest_impl`]).
-    pub fn nearest_blocked(&self, q: &PointK<K>) -> Option<u32> {
-        if self.root == EMPTY {
-            return None;
-        }
-        let mut best: Option<(u32, f64)> = None;
-        match &self.blocked {
-            Some(kb) if kb.tree.root() != NO_NODE => {
-                self.nn_blocked_rec(kb, kb.tree.root(), &BBoxK::everything(), q, 1.0, &mut best)
-            }
-            _ => self.nn_rec(self.root, &BBoxK::everything(), q, 1.0, &mut best),
-        }
-        best.map(|(i, _)| i)
     }
 
     fn nn_rec(
@@ -472,52 +442,6 @@ impl<const K: usize> KdTree<K> {
         for (child, child_region) in order {
             if child != EMPTY {
                 self.nn_rec(child, &child_region, q, shrink, best);
-            }
-        }
-    }
-
-    /// [`Self::nn_rec`] over the blocked cache: same pruning, descent order
-    /// and ARAM charges; leaf buckets come from the inlined head plus the
-    /// packed tails — never the cold arena.
-    fn nn_blocked_rec(
-        &self,
-        kb: &KdBlocked,
-        v: u32,
-        region: &BBoxK<K>,
-        q: &PointK<K>,
-        shrink: f64,
-        best: &mut Option<(u32, f64)>,
-    ) {
-        record_read();
-        let bn = kb.tree.node_unprefetched(v);
-        if let Some((_, best_d2)) = best {
-            if region.dist2_to_point(q) > *best_d2 * shrink {
-                return;
-            }
-        }
-        let hot = bn.payload;
-        if bn.left == NO_NODE && bn.right == NO_NODE {
-            for k in 0..hot.blen as usize {
-                let pi = kb.bucket_entry(&hot, k);
-                record_read();
-                let d2 = self.points[pi as usize].dist2(q);
-                if best.is_none_or(|(_, b)| d2 < b) {
-                    *best = Some((pi, d2));
-                }
-            }
-            return;
-        }
-        let (left_region, right_region) =
-            split_region(region, hot.split_dim as usize, hot.split_val);
-        let go_left_first = q.coords[hot.split_dim as usize] < hot.split_val;
-        let order = if go_left_first {
-            [(bn.left, left_region), (bn.right, right_region)]
-        } else {
-            [(bn.right, right_region), (bn.left, left_region)]
-        };
-        for (child, child_region) in order {
-            if child != NO_NODE {
-                self.nn_blocked_rec(kb, child, &child_region, q, shrink, best);
             }
         }
     }
@@ -629,6 +553,7 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
+        let _g = crate::counter_guard();
         let t: KdTree<2> = KdTree::empty(Vec::new(), 8);
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);

@@ -1,8 +1,7 @@
-//! Blocked-vs-flat equivalence for the k-d tree query descents: the
-//! vEB-blocked range query (the default when the cache is live) and the
-//! forced-blocked nearest-neighbour walk must return the same answers and
-//! charge the same ARAM reads/writes as the flat arena walks (MODEL.md
-//! "Cache cost vs. ARAM cost").  Counter checks serialize on a process
+//! Blocked-vs-flat equivalence for the k-d tree range query: the
+//! vEB-blocked descent (the default when the cache is live) must return the
+//! same answers and charge the same ARAM reads/writes as the flat arena
+//! walk (MODEL.md "Cache cost vs. ARAM cost").  Counter checks serialize on a process
 //! lock because the counters are global.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -35,7 +34,6 @@ fn kd_blocked_queries_match_flat() {
     for &n in &[129usize, 2_000, 20_000] {
         let pts = uniform_points_2d(n, 41);
         let (tree, _) = build_p_batched(&pts, recommended_p(n), 16, 13);
-        let queries = uniform_points_2d(64, 99);
         let mut state = 7u64;
         let mut next = move || {
             state ^= state << 13;
@@ -43,12 +41,7 @@ fn kd_blocked_queries_match_flat() {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for (qi, q) in queries.iter().enumerate() {
-            let (a, fr, fw) = charged(|| tree.nearest_flat(q));
-            let (b, br, bw) = charged(|| tree.nearest_blocked(q));
-            assert_eq!(a, b, "nearest n={n} q={qi}");
-            assert_eq!((fr, fw), (br, bw), "nearest counters n={n} q={qi}");
-
+        for qi in 0..64 {
             let w = 0.02 + 0.3 * next();
             let h = 0.02 + 0.3 * next();
             let x = next() * (1.0 - w);

@@ -181,15 +181,6 @@ impl<T: Copy> BlockedTree<T> {
         n
     }
 
-    /// [`Self::node`] without the child prefetch hints.  For walks that
-    /// revisit the upper tree constantly (nearest-neighbour backtracking,
-    /// bounded-range descents) the children are usually cache-resident
-    /// already and the two hint instructions per visit are pure overhead.
-    #[inline]
-    pub fn node_unprefetched(&self, p: u32) -> &BlockedNode<T> {
-        &self.nodes[p as usize]
-    }
-
     /// All nodes in blocked order (diagnostics and tests).
     #[inline]
     pub fn nodes(&self) -> &[BlockedNode<T>] {

@@ -39,18 +39,12 @@
 //!   branchless, prefetching binary search every packed-run lookup goes
 //!   through.  Wall-clock machinery only: counters, digests and answers
 //!   are unchanged (MODEL.md §5).
-//! * [`cascade`] — fractional cascading (Chazelle–Guibas) over per-node
-//!   sorted catalogs: a derived [`cascade::CascadeIndex`] overlay that
-//!   replaces the per-node binary searches of a tree descent with one root
-//!   search plus `O(1)` charged bridge hops per child (MODEL.md §5,
-//!   "Fractional cascading").
 //! * [`epoch`] — epoch-reclaimed generation cells ([`epoch::EpochCell`]):
 //!   the snapshot mechanism of the serving layer.  Readers pin a published
 //!   generation without blocking; writers swap in the next generation
 //!   atomically and old generations are freed once no pinned reader can
 //!   still observe them (MODEL.md §6).
 
-pub mod cascade;
 pub mod epoch;
 pub mod faultpoint;
 pub mod hash;
@@ -65,7 +59,6 @@ pub mod search;
 pub mod semisort;
 pub mod tournament;
 
-pub use cascade::{CascadeEntry, CascadeIndex};
 pub use epoch::{EpochCell, EpochGuard, PreparedGen};
 pub use faultpoint::InjectedFault;
 pub use hash::{DetHashMap, DetHashSet, DetState};
@@ -77,3 +70,12 @@ pub use scan::{exclusive_scan, inclusive_scan, par_exclusive_scan};
 pub use search::{branchless_partition_point, branchless_search_by_key, run_partition_point};
 pub use semisort::semisort_by_key;
 pub use tournament::TournamentTree;
+
+/// Serializes this crate's unit tests that run instrumented code: cost
+/// assertions difference the process-global ARAM counters, so no other
+/// test may charge them concurrently.
+#[cfg(test)]
+pub(crate) fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -72,6 +72,7 @@ mod tests {
 
     #[test]
     fn pack_keeps_flagged_in_order() {
+        let _g = crate::counter_guard();
         let items = vec![10, 20, 30, 40, 50];
         let flags = vec![true, false, true, false, true];
         assert_eq!(pack_flagged(&items, &flags), vec![10, 30, 50]);
@@ -79,12 +80,14 @@ mod tests {
 
     #[test]
     fn pack_indices_matches_flags() {
+        let _g = crate::counter_guard();
         let flags = vec![false, true, true, false, true];
         assert_eq!(pack_indices(&flags), vec![1, 2, 4]);
     }
 
     #[test]
     fn partition_splits_everything() {
+        let _g = crate::counter_guard();
         let items: Vec<u32> = (0..100).collect();
         let (even, odd) = partition_by(&items, |x| x % 2 == 0);
         assert_eq!(even.len(), 50);
@@ -96,11 +99,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn mismatched_lengths_rejected() {
+        let _g = crate::counter_guard();
         pack_flagged(&[1, 2, 3], &[true]);
     }
 
     #[test]
     fn writes_are_output_sensitive() {
+        let _g = crate::counter_guard();
         let items: Vec<u64> = (0..10_000).collect();
         let flags: Vec<bool> = items.iter().map(|&x| x < 10).collect();
         let before = CounterSnapshot::now();
@@ -119,6 +124,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_pack_equals_sequential_filter(v in proptest::collection::vec(0i64..1000, 0..500)) {
+            let _g = crate::counter_guard();
             let flags: Vec<bool> = v.iter().map(|x| x % 3 == 0).collect();
             let expected: Vec<i64> = v.iter().cloned().zip(flags.iter()).filter(|(_, &f)| f).map(|(x, _)| x).collect();
             prop_assert_eq!(pack_flagged(&v, &flags), expected);
@@ -126,6 +132,7 @@ mod tests {
 
         #[test]
         fn prop_partition_preserves_multiset(v in proptest::collection::vec(0i64..50, 0..500)) {
+            let _g = crate::counter_guard();
             let (yes, no) = partition_by(&v, |x| x % 2 == 0);
             let mut merged = yes.clone();
             merged.extend(no.clone());

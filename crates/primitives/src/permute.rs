@@ -69,6 +69,7 @@ mod tests {
 
     #[test]
     fn permutation_is_valid_and_deterministic() {
+        let _g = crate::counter_guard();
         let a = random_permutation(1000, 42);
         let b = random_permutation(1000, 42);
         let c = random_permutation(1000, 43);
@@ -79,6 +80,7 @@ mod tests {
 
     #[test]
     fn shuffle_preserves_multiset() {
+        let _g = crate::counter_guard();
         let mut v: Vec<u32> = (0..500).collect();
         shuffle_in_place(&mut v, 7);
         let mut sorted = v.clone();
@@ -90,6 +92,7 @@ mod tests {
 
     #[test]
     fn apply_permutation_reorders() {
+        let _g = crate::counter_guard();
         let items = vec!['a', 'b', 'c', 'd'];
         let perm = vec![2, 0, 3, 1];
         assert_eq!(apply_permutation(&items, &perm), vec!['c', 'a', 'd', 'b']);
@@ -97,6 +100,7 @@ mod tests {
 
     #[test]
     fn degenerate_sizes() {
+        let _g = crate::counter_guard();
         assert_eq!(random_permutation(0, 1), Vec::<usize>::new());
         assert_eq!(random_permutation(1, 1), vec![0]);
         assert!(is_permutation(&[]));
@@ -106,6 +110,7 @@ mod tests {
 
     #[test]
     fn permutation_looks_uniform_ish() {
+        let _g = crate::counter_guard();
         // Position of element 0 across many seeds should spread out.
         let n = 16;
         let mut position_counts = vec![0u32; n];
@@ -123,6 +128,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_random_permutation_is_permutation(n in 0usize..2000, seed in 0u64..u64::MAX) {
+            let _g = crate::counter_guard();
             prop_assert!(is_permutation(&random_permutation(n, seed)));
         }
     }

@@ -188,6 +188,7 @@ mod tests {
 
     #[test]
     fn min_wins_sequentially() {
+        let _g = crate::counter_guard();
         let cell = PriorityCell::new();
         assert!(cell.is_empty());
         assert!(cell.write_min(10));
@@ -200,6 +201,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_keep_global_minimum() {
+        let _g = crate::counter_guard();
         let cell = PriorityCell::new();
         (0..10_000u64).into_par_iter().for_each(|i| {
             cell.write_min(10_000 - i);
@@ -209,6 +211,7 @@ mod tests {
 
     #[test]
     fn exactly_the_minimum_reports_winning_last() {
+        let _g = crate::counter_guard();
         // Among a fixed set of writes, the final stored value is the min and
         // at least one writer observed a win.
         let cell = PriorityCell::new();
@@ -225,6 +228,7 @@ mod tests {
 
     #[test]
     fn untracked_ops_keep_write_min_semantics() {
+        let _g = crate::counter_guard();
         // Ledger neutrality itself is pinned end-to-end by the Delaunay
         // engine's schedule-independence test (tests/parallel_stress.rs),
         // which would see differing totals if these ops charged anything;
@@ -240,6 +244,7 @@ mod tests {
 
     #[test]
     fn index_cells_are_independent() {
+        let _g = crate::counter_guard();
         let idx = PriorityIndex::new(8);
         idx.write_min(0, 3);
         idx.write_min(7, 9);

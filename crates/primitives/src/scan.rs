@@ -111,6 +111,7 @@ mod tests {
 
     #[test]
     fn exclusive_scan_small() {
+        let _g = crate::counter_guard();
         let (out, total) = exclusive_scan(&[3, 1, 4, 1, 5]);
         assert_eq!(out, vec![0, 3, 4, 8, 9]);
         assert_eq!(total, 14);
@@ -118,12 +119,14 @@ mod tests {
 
     #[test]
     fn inclusive_scan_small() {
+        let _g = crate::counter_guard();
         let out = inclusive_scan(&[3, 1, 4, 1, 5]);
         assert_eq!(out, vec![3, 4, 8, 9, 14]);
     }
 
     #[test]
     fn empty_inputs() {
+        let _g = crate::counter_guard();
         assert_eq!(exclusive_scan(&[]), (vec![], 0));
         assert_eq!(inclusive_scan(&[]), Vec::<u64>::new());
         assert_eq!(par_exclusive_scan(&[]), (vec![], 0));
@@ -131,6 +134,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_on_large_input() {
+        let _g = crate::counter_guard();
         let input: Vec<u64> = (0..50_000).map(|i| (i * 7919) % 101).collect();
         let (seq, seq_total) = exclusive_scan(&input);
         let (par, par_total) = par_exclusive_scan(&input);
@@ -141,6 +145,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_exclusive_scan_is_prefix_sum(v in proptest::collection::vec(0u64..1000, 0..300)) {
+            let _g = crate::counter_guard();
             let (out, total) = exclusive_scan(&v);
             let mut acc = 0u64;
             for (i, &o) in out.iter().enumerate() {
@@ -152,6 +157,7 @@ mod tests {
 
         #[test]
         fn prop_par_scan_matches_seq(v in proptest::collection::vec(0u64..1000, 0..9000)) {
+            let _g = crate::counter_guard();
             let (a, ta) = exclusive_scan(&v);
             let (b, tb) = par_exclusive_scan(&v);
             prop_assert_eq!(ta, tb);
@@ -160,6 +166,7 @@ mod tests {
 
         #[test]
         fn prop_inclusive_is_exclusive_shifted(v in proptest::collection::vec(0u64..1000, 1..300)) {
+            let _g = crate::counter_guard();
             let inc = inclusive_scan(&v);
             let (exc, total) = exclusive_scan(&v);
             for i in 0..v.len() - 1 {

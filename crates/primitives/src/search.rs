@@ -89,19 +89,6 @@ pub fn run_partition_point<T, F: Fn(&T) -> bool>(s: &[T], pred: F) -> usize {
     branchless_partition_point(s, pred)
 }
 
-/// The pre-blocked searched-run baseline: `slice::partition_point`'s
-/// conditional-branch loop with the same `⌈log₂ max(m, 2)⌉` read charge as
-/// [`run_partition_point`] (identical result, identical ARAM cost,
-/// different machine code).  Kept callable so the `query_compare` BENCH
-/// rows can time this PR's searched-run change live — the flat "before"
-/// side probes branchy, the blocked "after" side branchless — without the
-/// counters moving; no default query path uses it.
-#[inline]
-pub fn baseline_run_partition_point<T, F: Fn(&T) -> bool>(s: &[T], pred: F) -> usize {
-    record_reads(log2_ceil(s.len().max(2)));
-    s.partition_point(pred)
-}
-
 /// Exact-match search over a packed run sorted by `key(e)`: `Ok(i)` if
 /// `s[i]` has key `k`, `Err(i)` with the insertion point otherwise.  Same
 /// contract as `slice::binary_search_by_key`, built on the branchless
@@ -127,6 +114,7 @@ mod tests {
 
     #[test]
     fn matches_std_partition_point_exhaustively() {
+        let _g = crate::counter_guard();
         for n in 0..70usize {
             let v: Vec<u64> = (0..n as u64).map(|i| 2 * i).collect();
             for probe in 0..=(2 * n as u64 + 1) {
@@ -142,6 +130,7 @@ mod tests {
 
     #[test]
     fn matches_on_duplicate_heavy_runs() {
+        let _g = crate::counter_guard();
         let v = vec![1u64, 1, 1, 3, 3, 5, 5, 5, 5, 9];
         for probe in 0..11 {
             assert_eq!(
@@ -157,6 +146,7 @@ mod tests {
 
     #[test]
     fn search_by_key_matches_std() {
+        let _g = crate::counter_guard();
         let v: Vec<(u64, u64)> = (0..50).map(|i| (3 * i, i)).collect();
         for k in 0..160u64 {
             assert_eq!(
@@ -173,6 +163,7 @@ mod tests {
 
     #[test]
     fn charged_variant_counts_logarithmic_reads() {
+        let _g = crate::counter_guard();
         use pwe_asym::counters::CounterSnapshot;
         let v: Vec<u64> = (0..1024).collect();
         let before = CounterSnapshot::now();

@@ -291,6 +291,7 @@ mod tests {
 
     #[test]
     fn basic_queries() {
+        let _g = crate::counter_guard();
         let pri = vec![5u64, 1, 9, 3, 7, 2, 8, 6];
         let t = TournamentTree::new(&pri);
         assert_eq!(t.valid_count(), 8);
@@ -304,6 +305,7 @@ mod tests {
 
     #[test]
     fn deletion_updates_queries() {
+        let _g = crate::counter_guard();
         let pri = vec![5u64, 1, 9, 3, 7, 2, 8, 6];
         let mut t = TournamentTree::new(&pri);
         t.delete(2);
@@ -321,6 +323,7 @@ mod tests {
 
     #[test]
     fn non_power_of_two_sizes() {
+        let _g = crate::counter_guard();
         let pri: Vec<u64> = vec![4, 8, 15, 16, 23, 42, 10];
         let t = TournamentTree::new(&pri);
         assert_eq!(t.range_max(0, 7), Some(5));
@@ -332,6 +335,7 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
+        let _g = crate::counter_guard();
         let t: TournamentTree<u64> = TournamentTree::new(&[]);
         assert!(t.is_empty());
         assert_eq!(t.range_max(0, 1), None);
@@ -349,6 +353,7 @@ mod tests {
             deletions in proptest::collection::vec(0usize..120, 0..60),
             queries in proptest::collection::vec((0usize..120, 0usize..121), 1..40),
         ) {
+            let _g = crate::counter_guard();
             let n = pri.len();
             let mut t = TournamentTree::new(&pri);
             let mut valid = vec![true; n];

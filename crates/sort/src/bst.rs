@@ -290,6 +290,7 @@ mod tests {
 
     #[test]
     fn insert_and_traverse() {
+        let _g = crate::counter_guard();
         let mut t = Bst::new();
         for k in [5u64, 2, 8, 1, 9, 3, 7] {
             t.insert(k);
@@ -302,6 +303,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_kept() {
+        let _g = crate::counter_guard();
         let mut t = Bst::new();
         for k in [3u64, 3, 3, 1, 1] {
             t.insert(k);
@@ -312,6 +314,7 @@ mod tests {
 
     #[test]
     fn locate_then_attach_matches_insert() {
+        let _g = crate::counter_guard();
         let keys = [50u64, 20, 80, 10, 30, 70, 90];
         let mut a = Bst::new();
         let mut b = Bst::new();
@@ -325,6 +328,7 @@ mod tests {
 
     #[test]
     fn empty_tree_behaviour() {
+        let _g = crate::counter_guard();
         let t: Bst<u64> = Bst::new();
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
@@ -335,6 +339,7 @@ mod tests {
 
     #[test]
     fn random_order_gives_logarithmic_height() {
+        let _g = crate::counter_guard();
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -356,6 +361,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_in_order_is_sorted_permutation(keys in proptest::collection::vec(0u64..1000, 0..400)) {
+            let _g = crate::counter_guard();
             let mut t = Bst::new();
             for &k in &keys {
                 t.insert(k);

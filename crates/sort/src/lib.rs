@@ -43,3 +43,12 @@ pub use incremental::{
 };
 pub use mergesort::{merge_sort_baseline, merge_sort_baseline_with_scratch, MERGESORT_SCRATCH_C};
 pub use verify::{is_sorted, same_multiset};
+
+/// Serializes this crate's unit tests that run instrumented code: cost
+/// assertions difference the process-global ARAM counters, so no other
+/// test may charge them concurrently.
+#[cfg(test)]
+pub(crate) fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
