@@ -8,6 +8,13 @@
 //! small memory are simply not recorded, mirroring the paper's convention
 //! ("the number of writes refers only to the writes to the large-memory").
 //!
+//! A scan or walk that charges one read per element it visits — a query
+//! reporter's output-sensitive scan, a tree descent — counts its visits in
+//! a local and charges them with one [`record_reads`] when it ends, the
+//! failed probe that ends the scan included.  The totals are the ones a
+//! per-element [`record_read`] would give; only the number of atomic adds
+//! drops.
+//!
 //! The counters are process-global and relaxed so that instrumentation
 //! composes across rayon worker threads without any coordination in the
 //! algorithms themselves — but they are **striped per thread**: a single

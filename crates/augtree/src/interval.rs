@@ -707,35 +707,42 @@ impl IntervalTree {
     /// 1D stabbing query: ids of all stored intervals containing `x`,
     /// in ascending id order.
     pub fn stab(&self, x: f64) -> Vec<u64> {
-        self.stab_scratch(x, &mut pwe_asym::smallmem::TaskScratch::untracked())
+        let mut out = Vec::new();
+        self.stab_into(
+            x,
+            &mut pwe_asym::smallmem::TaskScratch::untracked(),
+            &mut out,
+        );
+        out.sort_unstable();
+        out
     }
 
-    /// [`IntervalTree::stab`], charging the query task's symmetric scratch —
-    /// one word per level of the root-to-leaf descent, `O(log n)` on a
-    /// post-sorted (balanced) tree — against a small-memory ledger via
-    /// `scratch`.  The reported intervals themselves are output writes to
-    /// the large memory, not scratch.
+    /// The stabbing reporter: appends the ids of all stored intervals
+    /// containing `x` to `out` in walk order (unsorted), charging the query
+    /// task's symmetric scratch — one word per level of the root-to-leaf
+    /// descent, `O(log n)` on a post-sorted (balanced) tree — against a
+    /// small-memory ledger via `scratch`.  The reported intervals
+    /// themselves are output writes to the large memory, not scratch.
     ///
     /// Descends the [`BlockedTree`] cache when one is live (built by the
     /// constructions, dropped by post-build attachments), the flat arena
     /// otherwise.  Both paths visit the same logical nodes and charge
     /// identical ARAM reads (pinned by `tests/layout_equiv.rs`).
-    pub fn stab_scratch(
+    pub fn stab_into(
         &self,
         x: f64,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
+        out: &mut Vec<u64>,
+    ) {
+        let start = out.len();
         let levels = match &self.blocked {
-            Some(b) if b.root() != NO_NODE => self.stab_blocked_walk(b, x, scratch, &mut out),
-            _ => self.stab_flat_walk(x, scratch, &mut out),
+            Some(b) if b.root() != NO_NODE => self.stab_blocked_walk(b, x, scratch, out),
+            _ => self.stab_flat_walk(x, scratch, out),
         };
         // The path is released when the descent ends, so a guard reused
         // across queries sees each descent's peak, not their sum.
         scratch.free(levels);
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
+        record_writes((out.len() - start) as u64);
     }
 
     /// [`IntervalTree::stab`] forced onto the flat (pre-blocked) descent —
@@ -752,7 +759,8 @@ impl IntervalTree {
     }
 
     /// The flat root-to-leaf stabbing descent; returns the path length
-    /// (scratch words still held).
+    /// (scratch words still held).  Charges its reads — one per level plus
+    /// each node's report scan — once, when the descent ends.
     fn stab_flat_walk(
         &self,
         x: f64,
@@ -761,19 +769,20 @@ impl IntervalTree {
     ) -> u64 {
         let mut cur = self.root;
         let mut levels = 0u64;
+        let mut reads = 0u64;
         while cur != EMPTY {
             scratch.alloc(1);
             levels += 1;
-            record_read();
             let node = &self.nodes[cur];
             if x <= node.key {
-                self.report_left(node, x, out);
+                reads += self.report_left(node, x, out);
                 cur = if x < node.key { node.left } else { EMPTY };
             } else {
-                self.report_right(node, x, out);
+                reads += self.report_right(node, x, out);
                 cur = node.right;
             }
         }
+        record_reads(levels + reads);
         levels
     }
 
@@ -790,69 +799,70 @@ impl IntervalTree {
     ) -> u64 {
         let mut cur = b.root();
         let mut levels = 0u64;
+        let mut reads = 0u64;
         while cur != NO_NODE {
             scratch.alloc(1);
             levels += 1;
-            record_read();
             let bn = b.node(cur);
             let hot = bn.payload;
             if x <= hot.key {
-                if hot.flags & 1 != 0 {
-                    self.report_left(&self.nodes[bn.orig as usize], x, out);
+                reads += if hot.flags & 1 != 0 {
+                    self.report_left(&self.nodes[bn.orig as usize], x, out)
                 } else {
-                    record_read(); // the failed probe of the (flagged-)empty side
-                }
+                    1 // the failed probe of the (flagged-)empty side
+                };
                 cur = if x < hot.key { bn.left } else { NO_NODE };
             } else {
-                if hot.flags & 2 != 0 {
-                    self.report_right(&self.nodes[bn.orig as usize], x, out);
+                reads += if hot.flags & 2 != 0 {
+                    self.report_right(&self.nodes[bn.orig as usize], x, out)
                 } else {
-                    record_read();
-                }
+                    1
+                };
                 cur = bn.right;
             }
         }
+        record_reads(levels + reads);
         levels
     }
 
     /// Report `node`'s intervals with left endpoint ≤ `x` (all of them
     /// contain `x` because every stored interval covers `node.key ≥ x`):
     /// scan the main run then the overflow run, each sorted ascending by
-    /// left endpoint.  One read per reported interval plus exactly one
-    /// failed-probe read for the scan's end — the charge of the inner-walk
-    /// this flat scan replaces.
-    fn report_left(&self, node: &Node, x: f64, out: &mut Vec<u64>) {
+    /// left endpoint.  Returns the scan's read charge — one per reported
+    /// interval plus exactly one failed-probe read for the scan's end, the
+    /// charge of the inner-walk this flat scan replaces — for the caller to
+    /// record once.
+    fn report_left(&self, node: &Node, x: f64, out: &mut Vec<u64>) -> u64 {
         let bound = f64_key(x);
+        let start = out.len();
         let main = self.side_main(&node.by_left, &self.left_arena);
         for run in [main, node.by_left.extra.as_slice()] {
-            for &((k, _), s) in run {
-                if k > bound {
-                    break;
-                }
-                record_read();
+            out.extend(run.iter().take_while(|e| e.0 .0 <= bound).map(|&(_, s)| {
                 debug_assert!(s.contains(x));
-                out.push(s.id);
-            }
+                s.id
+            }));
         }
-        record_read(); // the failed probe that ends the scan
+        (out.len() - start) as u64 + 1
     }
 
     /// Report `node`'s intervals with right endpoint ≥ `x` (mirror of
     /// [`Self::report_left`]): scan each run from the back.
-    fn report_right(&self, node: &Node, x: f64, out: &mut Vec<u64>) {
+    fn report_right(&self, node: &Node, x: f64, out: &mut Vec<u64>) -> u64 {
         let bound = f64_key(x);
+        let start = out.len();
         let main = self.side_main(&node.by_right, &self.right_arena);
         for run in [main, node.by_right.extra.as_slice()] {
-            for &((k, _), s) in run.iter().rev() {
-                if k < bound {
-                    break;
-                }
-                record_read();
-                debug_assert!(s.contains(x));
-                out.push(s.id);
-            }
+            out.extend(
+                run.iter()
+                    .rev()
+                    .take_while(|e| e.0 .0 >= bound)
+                    .map(|&(_, s)| {
+                        debug_assert!(s.contains(x));
+                        s.id
+                    }),
+            );
         }
-        record_read();
+        (out.len() - start) as u64 + 1
     }
 
     /// (Re)build the blocked descent cache from the current skeleton.

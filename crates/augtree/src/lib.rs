@@ -28,9 +28,9 @@
 //! merge behind the range tree's packed augmentation), [`interval`] (§7.2
 //! interval tree, 1D stabbing queries), [`priority`] (§7.2 priority search
 //! tree, 3-sided queries), [`range_tree`] (§7.2–7.3 2D range tree,
-//! orthogonal range queries).  Every query path has a `*_scratch` variant
-//! charging its root-to-leaf frames to a small-memory ledger against the
-//! [`QUERY_SCRATCH_C`]`·log₂ n` budget of Theorem 7.1; the parallel builds
+//! orthogonal range queries).  Every query has a walk-order `*_into`
+//! reporter charging its root-to-leaf frames to a small-memory ledger
+//! against the [`QUERY_SCRATCH_C`]`·log₂ n` budget of Theorem 7.1; the parallel builds
 //! charge their forked recursion the same way against
 //! [`engine::build_scratch_budget`] /
 //! [`engine::range_build_scratch_budget`].

@@ -329,30 +329,34 @@ impl PrioritySearchTree {
     /// 3-sided query: ids of all points with `x ∈ [x_lo, x_hi]` and
     /// `y ≥ y_bot`, in ascending id order.
     pub fn query_3sided(&self, x_lo: f64, x_hi: f64, y_bot: f64) -> Vec<u64> {
-        self.query_3sided_scratch(
-            x_lo,
-            x_hi,
-            y_bot,
-            &mut pwe_asym::smallmem::TaskScratch::untracked(),
-        )
+        let mut out = Vec::new();
+        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
+        self.query_3sided_into(x_lo, x_hi, y_bot, scratch, &mut out);
+        out.sort_unstable();
+        out
     }
 
-    /// [`PrioritySearchTree::query_3sided`], charging the recursion frames —
-    /// one word each, peak `O(height)` = `O(log n)` on a post-sorted tree —
-    /// against a small-memory ledger via `scratch`.  The reported ids are
-    /// output writes to the large memory, not scratch.
+    /// The 3-sided reporter: appends the ids of all points with
+    /// `x ∈ [x_lo, x_hi]` and `y ≥ y_bot` to `out` in walk order
+    /// (unsorted), charging the recursion frames — one word each, peak
+    /// `O(height)` = `O(log n)` on a post-sorted tree — against a
+    /// small-memory ledger via `scratch`.  The reported ids are output
+    /// writes to the large memory, not scratch.  The walk's reads — one per
+    /// visited node, `O(log n + k)` — are charged once, when it ends.
     ///
     /// The descent walks the preorder arena directly: it is already
     /// DFS-local, and a vEB-blocked copy measured ~0.95× (`range3sided` row
     /// of `BENCH_queries.json`).
-    pub fn query_3sided_scratch(
+    pub fn query_3sided_into(
         &self,
         x_lo: f64,
         x_hi: f64,
         y_bot: f64,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
+        out: &mut Vec<u64>,
+    ) {
+        let start = out.len();
+        let mut visited = 0u64;
         self.query_rec(
             self.root,
             x_lo,
@@ -360,12 +364,12 @@ impl PrioritySearchTree {
             y_bot,
             f64::NEG_INFINITY,
             f64::INFINITY,
-            &mut out,
+            out,
             scratch,
+            &mut visited,
         );
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
+        record_reads(visited);
+        record_writes((out.len() - start) as u64);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -379,12 +383,13 @@ impl PrioritySearchTree {
         range_hi: f64,
         out: &mut Vec<u64>,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
+        visited: &mut u64,
     ) {
         if v == EMPTY || range_lo > x_hi || range_hi < x_lo {
             return;
         }
         scratch.alloc(1);
-        record_read();
+        *visited += 1;
         let node = &self.nodes[v];
         // Heap order: if even this subtree's best priority is below the
         // threshold, nothing below can qualify.
@@ -401,6 +406,7 @@ impl PrioritySearchTree {
                 node.splitter,
                 out,
                 scratch,
+                visited,
             );
             self.query_rec(
                 node.right,
@@ -411,6 +417,7 @@ impl PrioritySearchTree {
                 range_hi,
                 out,
                 scratch,
+                visited,
             );
         }
         scratch.free(1);

@@ -467,7 +467,14 @@ impl RangeTree2D {
     /// [`Self::query_flat`] is the charge-identical flat-arena mirror
     /// (pinned by `tests/layout_equiv.rs`).
     pub fn query(&self, rect: &Rect) -> Vec<u64> {
-        self.query_scratch(rect, &mut pwe_asym::smallmem::TaskScratch::untracked())
+        let mut out = Vec::new();
+        self.query_into(
+            rect,
+            &mut pwe_asym::smallmem::TaskScratch::untracked(),
+            &mut out,
+        );
+        out.sort_unstable();
+        out
     }
 
     /// [`RangeTree2D::query`] forced onto the flat arena descent: same
@@ -482,24 +489,24 @@ impl RangeTree2D {
         out
     }
 
-    /// [`RangeTree2D::query`], charging the recursion frames — one word
-    /// each, peak `O(height)` plus the `O(α)` critical-descendant descent
-    /// (Corollary 7.1) — against a small-memory ledger via `scratch`.
-    /// The reported ids are output writes, not scratch.
-    pub fn query_scratch(
+    /// The range reporter: appends the ids of live points inside `rect` to
+    /// `out` in walk order (unsorted), charging the recursion frames — one
+    /// word each, peak `O(height)` plus the `O(α)` critical-descendant
+    /// descent (Corollary 7.1) — against a small-memory ledger via
+    /// `scratch`.  The reported ids are output writes, not scratch.
+    pub fn query_into(
         &self,
         rect: &Rect,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
+        out: &mut Vec<u64>,
+    ) {
+        let start = out.len();
         let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
         match &self.blocked {
-            Some(bt) => self.query_blocked_rec(bt, bt.root(), rect, lo, hi, &mut out, scratch),
-            None => self.query_rec(self.root, rect, lo, hi, &mut out, scratch),
+            Some(bt) => self.query_blocked_rec(bt, bt.root(), rect, lo, hi, out, scratch),
+            None => self.query_rec(self.root, rect, lo, hi, out, scratch),
         }
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
+        record_writes((out.len() - start) as u64);
     }
 
     /// The blocked mirror of [`Self::query_rec`]: same logical visits, same
@@ -627,17 +634,20 @@ impl RangeTree2D {
     /// Report the points of one y-sorted run whose y lies in the query's
     /// y-range: a branchless binary search for the first candidate
     /// (`O(log m)` probe reads over contiguous memory), then an
-    /// output-sensitive scan (one charged read per visited element,
-    /// stopping past the query's upper y bound).
+    /// output-sensitive scan — one read per visited element, the element
+    /// past the query's upper y bound included, charged once when the scan
+    /// ends.
     fn report_run(&self, run: &[RtPoint], rect: &Rect, out: &mut Vec<u64>) {
         if run.is_empty() {
             return;
         }
         let lo_key = (f64_key(rect.y_min), 0u64);
+        let hi_key = f64_key(rect.y_max);
         let start = run_partition_point(run, |p| ykey(p) < lo_key);
+        let mut visited = 0u64;
         for p in &run[start..] {
-            record_read();
-            if f64_key(p.point.y()) > f64_key(rect.y_max) {
+            visited += 1;
+            if f64_key(p.point.y()) > hi_key {
                 break;
             }
             if !self.deleted.contains(&p.id) {
@@ -645,6 +655,7 @@ impl RangeTree2D {
                 out.push(p.id);
             }
         }
+        record_reads(visited);
     }
 
     /// Report the points of `v`'s subtree whose y lies in the query's y-range

@@ -2,7 +2,9 @@
 //! [`pwe_primitives::layout::BlockedTree`] cache must return the same
 //! answers AND charge the same ARAM reads/writes as the flat arena descent
 //! it mirrors (MODEL.md "Cache cost vs. ARAM cost" — blocked layouts change
-//! machine addresses, never the cost model).
+//! machine addresses, never the cost model).  The walk-order reporters
+//! behind the sorted queries are checked the same way, and one query per
+//! walk has its exact charges pinned.
 //!
 //! The counter checks difference the process-global ARAM counters around
 //! each side, so every test that asserts counter equality serializes on
@@ -12,8 +14,10 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
+use pwe_asym::smallmem::TaskScratch;
 use pwe_asym::CounterSnapshot;
 use pwe_augtree::interval::IntervalTree;
+use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_geom::bbox::Rect;
 use pwe_geom::generators::{random_intervals, uniform_points_2d};
@@ -49,6 +53,45 @@ fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
             id: i as u64,
         })
         .collect()
+}
+
+fn ps_points(pts: &[RtPoint]) -> Vec<PsPoint> {
+    pts.iter()
+        .map(|p| PsPoint {
+            point: p.point,
+            id: p.id,
+        })
+        .collect()
+}
+
+/// Runs each of `parts` trees' walk-order reporter into one shared output
+/// that already holds `prefix`, as a shard set does.  Checks the prefix
+/// survived, and returns the appended ids sorted plus the (reads, writes)
+/// the reporters charged together.
+fn report_all(
+    prefix: &[u64],
+    parts: usize,
+    report: impl Fn(usize, &mut Vec<u64>),
+) -> (Vec<u64>, u64, u64) {
+    let (out, r, w) = charged(|| {
+        let mut out = prefix.to_vec();
+        for k in 0..parts {
+            report(k, &mut out);
+        }
+        out
+    });
+    assert_eq!(&out[..prefix.len()], prefix, "reporter touched the prefix");
+    let mut appended = out[prefix.len()..].to_vec();
+    appended.sort_unstable();
+    (appended, r, w)
+}
+
+/// The sorted queries of `parts` trees, concatenated and sorted, with the
+/// (reads, writes) they charged together.
+fn query_all(parts: usize, query: impl Fn(usize) -> Vec<u64>) -> (Vec<u64>, u64, u64) {
+    let (mut ids, r, w) = charged(|| (0..parts).flat_map(&query).collect::<Vec<_>>());
+    ids.sort_unstable();
+    (ids, r, w)
 }
 
 /// The bench's query_compare rectangle shape (wide in x, thin in y) at a
@@ -161,6 +204,125 @@ proptest! {
         prop_assert_eq!((fr, fw), (br, bw));
         prop_assert!(a.iter().all(|id| id % del_stride as u64 != 0));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The walk-order reporters (`stab_into`, `query_into`,
+    // `query_3sided_into`) append after whatever `out` already holds: three
+    // trees over a partition of the input report into one vector that
+    // starts with a foreign prefix.  The prefix must survive, the appended
+    // ids must be the trees' sorted queries, and the reporters must charge
+    // the queries' reads plus one write per appended id — none for the
+    // prefix or for another tree's ids.  Checked on the freshly built trees
+    // (blocked caches live) and after inserts and deletes (the interval and
+    // range trees fall back to the flat walk, the range tree filters
+    // tombstones, the PST sifts and promotes).
+    #[test]
+    fn prop_reporters_append_after_a_shared_prefix(
+        n in 0usize..400,
+        seed in 0u64..50,
+        mutations in 0usize..24,
+        prefix_len in 1u64..6,
+        queries in proptest::collection::vec((0.0f64..1.0, 0.0f64..0.5, 0.0f64..1.0), 1..8),
+    ) {
+        const PARTS: usize = 3;
+        let part = |id: u64| id as usize % PARTS;
+        let _g = counter_guard();
+        let intervals = random_intervals(n, 1000.0, 40.0, seed);
+        let pts = rt_points(n, seed);
+        let mut its: Vec<IntervalTree> = (0..PARTS)
+            .map(|k| {
+                let mine: Vec<_> = intervals.iter().filter(|s| part(s.id) == k).copied().collect();
+                IntervalTree::build_parallel(&mine, 8)
+            })
+            .collect();
+        let mut rts: Vec<RangeTree2D> = (0..PARTS)
+            .map(|k| {
+                let mine: Vec<_> = pts.iter().filter(|p| part(p.id) == k).copied().collect();
+                RangeTree2D::build(&mine, 8)
+            })
+            .collect();
+        let mut psts: Vec<PrioritySearchTree> = (0..PARTS)
+            .map(|k| {
+                let mine: Vec<_> = pts.iter().filter(|p| part(p.id) == k).copied().collect();
+                PrioritySearchTree::build_parallel(&ps_points(&mine))
+            })
+            .collect();
+        let prefix: Vec<u64> = (0..prefix_len).map(|i| u64::MAX - i).collect();
+        for mutated in [false, true] {
+            if mutated {
+                let extra = random_intervals(mutations, 1000.0, 40.0, seed + 1000);
+                let extra_pts = rt_points(mutations, seed + 1000);
+                for (i, (iv, p)) in extra.iter().zip(&extra_pts).enumerate() {
+                    let id = (n + i) as u64;
+                    its[part(id)].insert(&pwe_geom::interval::Interval { id, ..*iv });
+                    rts[part(id)].insert(RtPoint { id, ..*p });
+                    psts[part(id)].insert(PsPoint { point: p.point, id });
+                }
+                for i in (0..n.min(mutations)).step_by(2) {
+                    let id = pts[i].id;
+                    its[part(intervals[i].id)].delete(&intervals[i]);
+                    rts[part(id)].delete(id);
+                    psts[part(id)].delete(&PsPoint { point: pts[i].point, id });
+                }
+            }
+            for &(x, w, y) in &queries {
+                let stab_x = 1000.0 * x;
+                let want = query_all(PARTS, |k| its[k].stab(stab_x));
+                let got = report_all(&prefix, PARTS, |k, out| {
+                    its[k].stab_into(stab_x, &mut TaskScratch::untracked(), out)
+                });
+                prop_assert_eq!(&got, &want, "stab mutated={} x={}", mutated, stab_x);
+
+                let rect = Rect { x_min: x, x_max: x + w, y_min: y * 0.5, y_max: y };
+                let want = query_all(PARTS, |k| rts[k].query(&rect));
+                let got = report_all(&prefix, PARTS, |k, out| {
+                    rts[k].query_into(&rect, &mut TaskScratch::untracked(), out)
+                });
+                prop_assert_eq!(&got, &want, "range mutated={} rect={:?}", mutated, rect);
+
+                let want = query_all(PARTS, |k| psts[k].query_3sided(x, x + w, y));
+                let got = report_all(&prefix, PARTS, |k, out| {
+                    psts[k].query_3sided_into(x, x + w, y, &mut TaskScratch::untracked(), out)
+                });
+                prop_assert_eq!(&got, &want, "3-sided mutated={}", mutated);
+            }
+        }
+    }
+}
+
+/// The exact (reads, writes) of one fixed-seed query per walk — blocked and
+/// flat stab, blocked and flat range, the PST descent.  The values are the
+/// ones a per-element `record_read` charged; the walks charge their count
+/// once when a scan ends, and that must not move the totals.
+#[test]
+fn walk_charges_are_pinned() {
+    let _g = counter_guard();
+    let it = IntervalTree::build_parallel(&random_intervals(2000, 1000.0, 40.0, 7), 8);
+    let pts = rt_points(2000, 7);
+    let rt = RangeTree2D::build(&pts, 8);
+    let pst = PrioritySearchTree::build_parallel(&ps_points(&pts));
+    let rect = Rect {
+        x_min: 0.2,
+        x_max: 0.7,
+        y_min: 0.1,
+        y_max: 0.6,
+    };
+    let charges = |f: &dyn Fn() -> Vec<u64>| {
+        let (_, r, w) = charged(f);
+        (r, w)
+    };
+    assert_eq!(charges(&|| it.stab(500.0)), (63, 39), "blocked stab");
+    assert_eq!(charges(&|| it.stab_flat(500.0)), (63, 39), "flat stab");
+    assert_eq!(charges(&|| rt.query(&rect)), (679, 467), "blocked range");
+    assert_eq!(charges(&|| rt.query_flat(&rect)), (679, 467), "flat range");
+    assert_eq!(
+        charges(&|| pst.query_3sided(0.2, 0.7, 0.4)),
+        (928, 610),
+        "3-sided"
+    );
 }
 
 /// A structural mutation (leaf split plus overflow-run splice) drops the

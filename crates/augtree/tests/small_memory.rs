@@ -28,7 +28,7 @@ fn small_memory_interval_stab_at_two_sizes() {
         let ledger = SmallMem::logarithmic(n, QUERY_SCRATCH_C);
         for &q in &stabbing_queries(64, 1e6, 19) {
             let mut scratch = TaskScratch::new(&ledger);
-            tree.stab_scratch(q, &mut scratch);
+            tree.stab_into(q, &mut scratch, &mut Vec::new());
         }
         assert_eq!(ledger.budget(), query_budget(n));
         assert!(ledger.high_water() > 0, "ledger must be live at n={n}");
@@ -57,7 +57,7 @@ fn small_memory_priority_3sided_at_two_sizes() {
         for i in 0..32 {
             let lo = i as f64 / 40.0;
             let mut scratch = TaskScratch::new(&ledger);
-            tree.query_3sided_scratch(lo, lo + 0.05, 0.9, &mut scratch);
+            tree.query_3sided_into(lo, lo + 0.05, 0.9, &mut scratch, &mut Vec::new());
         }
         assert_eq!(ledger.budget(), query_budget(n));
         assert!(ledger.high_water() > 0, "ledger must be live at n={n}");
@@ -96,7 +96,7 @@ fn small_memory_range_tree_query_at_two_sizes() {
                 y_max: 0.6,
             };
             let mut scratch = TaskScratch::new(&ledger);
-            tree.query_scratch(&rect, &mut scratch);
+            tree.query_into(&rect, &mut scratch, &mut Vec::new());
         }
         assert!(ledger.high_water() > 0, "ledger must be live at n={n}");
         assert!(

@@ -411,7 +411,7 @@ pub fn smallmem_experiment(n: usize) -> Vec<SmallMemRow> {
     let ledger = SmallMem::logarithmic(n, pwe_augtree::QUERY_SCRATCH_C);
     for &q in &stabbing_queries(64, 1e6, 19) {
         let mut scratch = TaskScratch::new(&ledger);
-        tree.stab_scratch(q, &mut scratch);
+        tree.stab_into(q, &mut scratch, &mut Vec::new());
     }
     rows.push(SmallMemRow {
         label: "interval stab queries".into(),

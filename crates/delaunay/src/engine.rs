@@ -560,6 +560,7 @@ mod tests {
 
     #[test]
     fn insert_everything_against_bounding_triangle() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(200, 1 << 12, 3);
         let mut mesh = TriMesh::new(&points);
         let conflicts: Vec<(u32, u32)> = (3..mesh.points.len() as u32).map(|p| (0, p)).collect();
@@ -572,6 +573,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(10, 1 << 10, 5);
         let mut mesh = TriMesh::new(&points);
         let stats = insert_batch(&mut mesh, Vec::new());
@@ -581,6 +583,7 @@ mod tests {
 
     #[test]
     fn single_point_insertion_creates_three_triangles() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(1, 1 << 10, 7);
         let mut mesh = TriMesh::new(&points);
         let stats = insert_batch(&mut mesh, vec![(0, 3)]);
@@ -592,6 +595,7 @@ mod tests {
 
     #[test]
     fn incremental_batches_match_single_batch() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(120, 1 << 12, 11);
         // All at once.
         let mut mesh_a = TriMesh::new(&points);
@@ -629,6 +633,7 @@ mod tests {
 
     #[test]
     fn repeated_runs_record_identical_stats_and_arena() {
+        let _g = crate::counter_guard();
         // In-process reproducibility: two runs over fresh meshes must agree
         // on stats, arena layout and history size.  (RandomState-seeded maps
         // would already diverge between two maps in the same process.)

@@ -46,6 +46,15 @@ pub mod mesh;
 pub mod verify;
 pub mod write_efficient;
 
+/// Serializes this crate's unit tests that run instrumented code: cost
+/// assertions difference the process-global ARAM counters, so no other
+/// test may charge them concurrently.
+#[cfg(test)]
+pub(crate) fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use baseline::{triangulate_baseline, triangulate_baseline_with_stats};
 pub use mesh::{TriMesh, Triangle};
 pub use verify::{check_delaunay_property, check_mesh_consistency};

@@ -420,6 +420,7 @@ mod tests {
 
     #[test]
     fn new_mesh_has_one_alive_bounding_triangle() {
+        let _g = crate::counter_guard();
         let mesh = TriMesh::new(&square_points());
         assert_eq!(mesh.alive_count(), 1);
         assert_eq!(mesh.num_input_points(), 4);
@@ -433,6 +434,7 @@ mod tests {
 
     #[test]
     fn create_and_kill_maintain_adjacency() {
+        let _g = crate::counter_guard();
         let mut mesh = TriMesh::new(&square_points());
         // Insert the first input point (index 3) into the bounding triangle
         // manually: replace triangle 0 by three triangles around point 3.
@@ -466,6 +468,7 @@ mod tests {
 
     #[test]
     fn locate_conflicts_on_history() {
+        let _g = crate::counter_guard();
         let mut mesh = TriMesh::new(&square_points());
         let root = mesh.triangle(0).v;
         mesh.kill_triangle(0);
@@ -486,6 +489,7 @@ mod tests {
 
     #[test]
     fn reserve_and_commit_matches_create_triangle() {
+        let _g = crate::counter_guard();
         let mut mesh = TriMesh::new(&square_points());
         let root = mesh.triangle(0).v;
         mesh.kill_triangle(0);

@@ -145,6 +145,7 @@ mod tests {
 
     #[test]
     fn fresh_mesh_is_consistent_but_trivial() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(5, 1 << 10, 1);
         let mesh = TriMesh::new(&points);
         // No input point is covered yet, so consistency must fail on the
@@ -157,6 +158,7 @@ mod tests {
 
     #[test]
     fn complete_triangulation_passes_all_checks() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(150, 1 << 12, 2);
         let mut mesh = TriMesh::new(&points);
         let conflicts: Vec<(u32, u32)> = (3..mesh.points.len() as u32).map(|p| (0, p)).collect();
@@ -168,6 +170,7 @@ mod tests {
 
     #[test]
     fn sampled_check_is_a_subset_of_full_check() {
+        let _g = crate::counter_guard();
         let points = uniform_grid_points(200, 1 << 12, 3);
         let mut mesh = TriMesh::new(&points);
         let conflicts: Vec<(u32, u32)> = (3..mesh.points.len() as u32).map(|p| (0, p)).collect();

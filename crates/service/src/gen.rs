@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use pwe_asym::smallmem::TaskScratch;
 use pwe_augtree::interval::IntervalTree;
 use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
@@ -143,18 +144,30 @@ impl ShardGen {
 
     /// Ids of the intervals containing `x` (shard-local, unsorted).
     pub fn stab(&self, x: f64) -> Vec<u64> {
-        self.interval.stab(x)
+        // alloc: large-mem — the answer (output writes, charged by the reporter)
+        let mut ids = Vec::new();
+        self.interval
+            .stab_into(x, &mut TaskScratch::untracked(), &mut ids);
+        ids
     }
 
     /// Ids of the points inside `rect` (shard-local, unsorted).
     pub fn range2d(&self, rect: &Rect) -> Vec<u64> {
-        self.range.query(rect)
+        // alloc: large-mem — the answer (output writes, charged by the reporter)
+        let mut ids = Vec::new();
+        self.range
+            .query_into(rect, &mut TaskScratch::untracked(), &mut ids);
+        ids
     }
 
     /// Ids of the points with `x ∈ [x_lo, x_hi]`, `y ≥ y_bot` (shard-local,
     /// unsorted).
     pub fn three_sided(&self, x_lo: f64, x_hi: f64, y_bot: f64) -> Vec<u64> {
-        self.pst.query_3sided(x_lo, x_hi, y_bot)
+        // alloc: large-mem — the answer (output writes, charged by the reporter)
+        let mut ids = Vec::new();
+        self.pst
+            .query_3sided_into(x_lo, x_hi, y_bot, &mut TaskScratch::untracked(), &mut ids);
+        ids
     }
 
     /// The shard-local canonical nearest neighbour of `(x, y)`: smallest

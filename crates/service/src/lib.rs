@@ -43,6 +43,7 @@
 
 pub mod api;
 pub mod gen;
+mod radix;
 pub mod router;
 pub mod service;
 

@@ -45,6 +45,7 @@ use crate::api::{
     UpdateBatch, MESH_SHARD,
 };
 use crate::gen::{MeshGen, ServiceGen, ShardData, ShardGen, ShardStatus};
+use crate::radix::sort_ids;
 use crate::router::ShardRouter;
 
 /// Query batches below this size are answered inline; larger ones fan the
@@ -484,39 +485,31 @@ impl GeometryService {
 }
 
 /// Answer one query against one generation: broadcast to every shard and
-/// canonically merge (sort ids / minimize `(dist², id)`); point-location
-/// reads the replicated mesh.
+/// canonically merge (concatenate the shards' unsorted ids and sort them
+/// once / minimize `(dist², id)`); point-location reads the replicated
+/// mesh.
 fn answer_one(g: &ServiceGen, q: &Query) -> Answer {
+    let shards = g.shards.iter();
     match *q {
-        Query::Stab { x } => {
-            let mut ids: Vec<u64> = g.shards.iter().flat_map(|s| s.stab(x)).collect();
-            ids.sort_unstable();
-            Answer::Ids(ids)
-        }
-        Query::Range2D { rect } => {
-            let mut ids: Vec<u64> = g.shards.iter().flat_map(|s| s.range2d(&rect)).collect();
-            ids.sort_unstable();
-            Answer::Ids(ids)
-        }
+        Query::Stab { x } => sorted_ids(shards.map(|s| s.stab(x)).collect()),
+        Query::Range2D { rect } => sorted_ids(shards.map(|s| s.range2d(&rect)).collect()),
         Query::ThreeSided { x_lo, x_hi, y_bot } => {
-            let mut ids: Vec<u64> = g
-                .shards
-                .iter()
-                .flat_map(|s| s.three_sided(x_lo, x_hi, y_bot))
-                .collect();
-            ids.sort_unstable();
-            Answer::Ids(ids)
+            sorted_ids(shards.map(|s| s.three_sided(x_lo, x_hi, y_bot)).collect())
         }
         Query::Nearest { x, y } => {
-            let best = g
-                .shards
-                .iter()
-                .filter_map(|s| s.nearest(x, y))
-                .min_by(cmp_hits);
+            let best = shards.filter_map(|s| s.nearest(x, y)).min_by(cmp_hits);
             Answer::Nearest(best)
         }
         Query::Locate { x, y } => Answer::Located(g.mesh.locate(GridPoint::new(x, y))),
     }
+}
+
+/// The canonical id answer: every shard's ids, concatenated and sorted
+/// once.
+fn sorted_ids(per_shard: Vec<Vec<u64>>) -> Answer {
+    let mut ids = per_shard.concat();
+    sort_ids(&mut ids);
+    Answer::Ids(ids)
 }
 
 /// Canonical nearest-hit order: squared distance, then id.  Distances are
