@@ -39,13 +39,7 @@
 //!   branchless, prefetching binary search every packed-run lookup goes
 //!   through.  Wall-clock machinery only: counters, digests and answers
 //!   are unchanged (MODEL.md §5).
-//! * [`epoch`] — epoch-reclaimed generation cells ([`epoch::EpochCell`]):
-//!   the snapshot mechanism of the serving layer.  Readers pin a published
-//!   generation without blocking; writers swap in the next generation
-//!   atomically and old generations are freed once no pinned reader can
-//!   still observe them (MODEL.md §6).
 
-pub mod epoch;
 pub mod faultpoint;
 pub mod hash;
 pub mod layout;
@@ -59,7 +53,6 @@ pub mod search;
 pub mod semisort;
 pub mod tournament;
 
-pub use epoch::{EpochCell, EpochGuard, PreparedGen};
 pub use faultpoint::InjectedFault;
 pub use hash::{DetHashMap, DetHashSet, DetState};
 pub use layout::{BlockedNode, BlockedTree, NO_NODE};

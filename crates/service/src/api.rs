@@ -97,7 +97,8 @@ pub enum Query {
         /// Bottom y bound (inclusive).
         y_bot: f64,
     },
-    /// The nearest point to `(x, y)`, ties broken by smallest id.
+    /// The nearest point to `(x, y)`, ties broken by smallest id.  A NaN
+    /// or infinite coordinate answers `None`.
     Nearest {
         /// Query x.
         x: f64,
@@ -137,7 +138,7 @@ pub enum Answer {
     /// Element ids, sorted ascending (stab / range / 3-sided).
     Ids(Vec<u64>),
     /// The canonical nearest point, `None` when the generation holds no
-    /// points.
+    /// points or the query has a non-finite coordinate.
     Nearest(Option<NearestHit>),
     /// The sorted site-id triple of the smallest alive triangle containing
     /// the query, `None` when no alive triangle strictly conflicts with it

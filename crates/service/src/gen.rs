@@ -176,8 +176,12 @@ impl ShardGen {
     /// identity depends on traversal order under ties; the follow-up range
     /// probe over the closed distance ball canonicalizes, which is what
     /// lets per-shard answers merge into the same winner an unsharded
-    /// instance picks.
+    /// instance picks.  A non-finite coordinate has no nearest point:
+    /// `None`.
     pub fn nearest(&self, x: f64, y: f64) -> Option<NearestHit> {
+        if !(x.is_finite() && y.is_finite()) {
+            return None;
+        }
         let q = Point2::xy(x, y);
         let (idx, _) = self.kd.nearest_impl(&q, 0.0)?;
         let d2 = self.kd.points()[idx as usize].dist2(&q);
@@ -486,6 +490,12 @@ mod tests {
         let hit = g.nearest(0.0, 0.0).unwrap();
         assert_eq!(hit.id, 3);
         assert_eq!(hit.dist2, 2.0);
+        // A non-finite query has no nearest point (its distance-ball probe
+        // would be an inverted box).
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(g.nearest(v, 0.0), None, "x = {v}");
+            assert_eq!(g.nearest(0.0, v), None, "y = {v}");
+        }
     }
 
     #[test]

@@ -5,21 +5,20 @@
 //! range and 3-sided reporting, k-d nearest neighbour and Delaunay point
 //! location, served concurrently with batch updates.
 //!
-//! The serving model (MODEL.md §6) in one paragraph: readers pin an
-//! immutable *generation* through an epoch-reclaimed cell
-//! ([`pwe_primitives::epoch`]) and answer a whole [`api::QueryBatch`] from
-//! that one snapshot; the single writer rebuilds the dirtied shards through
-//! the deterministic parallel engines (the allocation-lean augmented-tree
-//! engine, the p-batched k-d construction, the reserve-and-commit Delaunay
-//! engine) and publishes the next generation with one atomic pointer swap.
-//! Readers never block on writers, writers never wait for readers, and
-//! retired generations are reclaimed once the last reader pinning them
-//! moves on.  Because every build is a pure function of the element
-//! sequence, generations are bit-identical across thread counts, processes
-//! and replicas — which is what makes the answers of a sharded deployment
-//! provably equal to a single-instance oracle (the `shard_equiv` suite)
-//! and a concurrent history checkable against a sequential replay (the
-//! `churn` suite).
+//! The serving model (MODEL.md §6) in one paragraph: readers clone the
+//! `Arc` of the current immutable *generation* and answer a whole
+//! [`api::QueryBatch`] from that one snapshot; the single writer rebuilds
+//! the dirtied shards through the deterministic parallel engines (the
+//! allocation-lean augmented-tree engine, the p-batched k-d construction,
+//! the reserve-and-commit Delaunay engine) and publishes the next
+//! generation by swapping that `Arc` under a mutex.  The lock covers only
+//! the pointer-sized clone or swap, never a build or a query, and a
+//! superseded generation is freed by the last `Arc` drop.  Because every
+//! build is a pure function of the element sequence, generations are
+//! bit-identical across thread counts, processes and replicas — which is
+//! what makes the answers of a sharded deployment provably equal to a
+//! single-instance oracle (the `shard_equiv` suite) and a concurrent
+//! history checkable against a sequential replay (the `churn` suite).
 //!
 //! Failure containment (MODEL.md §6, "Failure semantics"): every shard
 //! rebuild runs under `catch_unwind`; a failed rebuild quarantines the

@@ -1,17 +1,17 @@
 //! The serving layer: snapshot-isolated reads over atomically published
 //! generations, with failure containment around every rebuild.
 //!
-//! One [`GeometryService`] owns an [`EpochCell`] holding the current
-//! [`ServiceGen`].  Readers ([`GeometryService::serve`]) pin the cell once
-//! per query batch and answer every query in the batch from that single
-//! pinned generation — the snapshot-isolation contract: no batch ever
-//! observes half of an update.  The writer ([`GeometryService::apply`])
-//! owns the authoritative element sets behind a mutex, rebuilds exactly the
-//! shards an update batch dirtied (sharing the untouched ones with the
-//! previous generation) and publishes the result with one atomic swap.
-//! Readers never block on a publish; generations a pinned reader can still
-//! observe are reclaimed only after its guard drops (see
-//! [`pwe_primitives::epoch`]).
+//! One [`GeometryService`] holds the current [`ServiceGen`] as a
+//! `Mutex<Arc<ServiceGen>>`.  Readers ([`GeometryService::serve`]) clone
+//! that `Arc` once per query batch and answer every query in the batch
+//! from that single generation — the snapshot-isolation contract: no
+//! batch ever observes half of an update.  The writer
+//! ([`GeometryService::apply`]) owns the authoritative element sets behind
+//! a second mutex, rebuilds exactly the shards an update batch dirtied
+//! (sharing the untouched ones with the previous generation) and publishes
+//! the result by swapping the `Arc`.  Both sides hold the generation lock
+//! only for a pointer-sized clone or swap; a superseded generation is
+//! freed by whichever holder drops its last `Arc`.
 //!
 //! # Failure containment (MODEL.md §6, "Failure semantics")
 //!
@@ -23,22 +23,20 @@
 //! retry-with-backoff schedule — no wall clock, `pwe-lint` D2 holds —
 //! re-attempts the rebuild on later `apply` calls until it heals.  A fault
 //! at the publish commit step aborts the publish; the built-but-never-
-//! published generation is freed (the `epoch_leak` suite pins this leak-
-//! free) and nothing is lost: the element state and every successfully
-//! rebuilt shard are retained for the next attempt.  Readers surface the
+//! published generation is dropped without readers ever seeing it, and
+//! nothing is lost: the element state and every successfully rebuilt
+//! shard are retained for the next attempt.  Readers surface the
 //! contract through [`AnswerBatch::degraded`] / `stale_shards`.
 //! The named fault sites (`service.rebuild.*`, `service.publish.commit`,
 //! `service.serve.batch`) come alive only under the default-off
 //! `faultinject` feature ([`pwe_primitives::faultpoint`]).
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rayon::prelude::*;
 
 use pwe_geom::point::GridPoint;
-use pwe_primitives::epoch::EpochCell;
 use pwe_primitives::{faultpoint, racecheck};
-use std::sync::Arc;
 
 use crate::api::{
     Answer, AnswerBatch, ApplyReport, NearestHit, Query, QueryBatch, StaleShard, Update,
@@ -159,8 +157,10 @@ struct WriterState {
 /// ```
 pub struct GeometryService {
     router: ShardRouter,
-    cell: EpochCell<ServiceGen>,
+    current: Mutex<Arc<ServiceGen>>,
     writer: Mutex<WriterState>,
+    /// Racecheck space of the single-writer claim in [`Self::apply`].
+    apply_space: u64,
 }
 
 impl GeometryService {
@@ -179,7 +179,7 @@ impl GeometryService {
         };
         GeometryService {
             router,
-            cell: EpochCell::new(initial),
+            current: Mutex::new(Arc::new(initial)),
             writer: Mutex::new(WriterState {
                 shards: vec![ShardData::default(); shards],
                 dirty: vec![false; shards],
@@ -196,6 +196,7 @@ impl GeometryService {
                 tick: 0,
                 stats: ServiceStats::default(),
             }),
+            apply_space: racecheck::fresh_space(),
         }
     }
 
@@ -206,13 +207,13 @@ impl GeometryService {
 
     /// The currently published generation id.
     pub fn current_gen_id(&self) -> u64 {
-        self.cell.pin().gen_id
+        self.pin().gen_id
     }
 
     /// Fingerprint of the currently published generation (replay-equality
     /// checks).
     pub fn digest(&self) -> u64 {
-        self.cell.pin().digest()
+        self.pin().digest()
     }
 
     /// The writer-side containment counters.
@@ -240,6 +241,13 @@ impl GeometryService {
         out
     }
 
+    /// The currently published generation.  Same poison recovery as
+    /// [`Self::lock_writer`]: the lock guards nothing but the `Arc`, which
+    /// is whole at every point a panic could unwind.
+    fn pin(&self) -> Arc<ServiceGen> {
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// Lock the writer state, recovering from poison: an injected panic
     /// escaping a caller-side `catch_unwind` while the lock was held
     /// leaves the state valid (every mutation below is complete before
@@ -260,10 +268,13 @@ impl GeometryService {
     /// `published` with nothing quarantined.
     ///
     /// Single-writer discipline: concurrent `apply` calls from logically
-    /// concurrent tasks would make generation contents schedule-dependent;
-    /// under `racecheck` the epoch cell panics on exactly that (see
-    /// [`pwe_primitives::epoch`]).
+    /// concurrent tasks would make generation contents schedule-dependent.
+    /// The writer mutex keeps them memory-safe, and under `racecheck`
+    /// every call claims the same one-element region of a service-private
+    /// space, so two calls from the two arms of one `join` panic with both
+    /// provenances (see [`pwe_primitives::racecheck`]).
     pub fn apply(&self, batch: &UpdateBatch) -> ApplyReport {
+        let _claim = racecheck::claim_range(self.apply_space, 0, 1, "service::apply");
         let mut guard = self.lock_writer();
         let w = &mut *guard;
         w.tick += 1;
@@ -387,7 +398,7 @@ impl GeometryService {
             .map(|(s, _)| s as u32)
             .chain(mesh_status.stale.then_some(MESH_SHARD))
             .collect();
-        let prepared = self.cell.prepare(ServiceGen {
+        let next = Arc::new(ServiceGen {
             gen_id,
             shards: w.built.iter().map(Arc::clone).collect(),
             status,
@@ -396,9 +407,8 @@ impl GeometryService {
         });
 
         // Commit, containing a fault at the commit step itself.  On
-        // abort the prepared generation drops here — freed, never
-        // observable by readers (the epoch_leak suite pins this) — and
-        // every rebuild above is retained for the next attempt.
+        // abort `next` drops here — freed, never observable by readers —
+        // and every rebuild above is retained for the next attempt.
         let commit_ok = if faultpoint::ENABLED {
             matches!(
                 std::panic::catch_unwind(|| faultpoint::check("service.publish.commit")),
@@ -408,7 +418,13 @@ impl GeometryService {
             true
         };
         if commit_ok {
-            self.cell.publish_prepared(prepared);
+            let old = std::mem::replace(
+                &mut *self.current.lock().unwrap_or_else(PoisonError::into_inner),
+                next,
+            );
+            // Outside the lock: freeing the superseded generation (when no
+            // reader still holds it) must not stall readers.
+            drop(old);
             w.next_gen += 1;
             for s in 0..self.router.shards() {
                 if !w.dirty[s] {
@@ -449,7 +465,7 @@ impl GeometryService {
             // decision is counted-and-ignored and a panic is contained.
             let _ = std::panic::catch_unwind(|| faultpoint::check("service.serve.batch"));
         }
-        let pinned = self.cell.pin();
+        let pinned = self.pin();
         let g: &ServiceGen = &pinned;
         let answers: Vec<Answer> = if batch.queries.len() >= PAR_QUERY_CUTOFF {
             batch.queries.par_iter().map(|q| answer_one(g, q)).collect()
@@ -542,8 +558,8 @@ fn contained_build(data: &ShardData, shard: usize) -> Result<Arc<ShardGen>, Stri
     // boundary, so no caller-visible invariant can be observed broken);
     // the builders write exclusively into locals that unwinding frees,
     // and the process-wide state they touch (rayon pool, racecheck
-    // ledger, faultpoint counters, epoch retired lists) keeps its
-    // invariants across unwinds via its own locking and poison recovery.
+    // ledger, faultpoint counters) keeps its invariants across unwinds
+    // via its own locking and poison recovery.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         ShardGen::try_build(data, shard as u64)
     }));

@@ -13,12 +13,19 @@
 //! without `racecheck`: at one thread the arms serialize (every batch then
 //! sees the final generation), at four they interleave for real.
 //!
+//! `many_concurrent_readers_see_whole_generations` widens the reader side
+//! to far more simultaneous callers than any pool width: each is an OS
+//! thread standing in for an independent client, and the service must
+//! neither cap nor tear them.
+//!
 //! CI's faultinject leg also compiles this suite with the `faultinject`
 //! feature (no plan armed): every fault site must be a true no-op when
 //! unarmed, so the snapshot-isolation property must hold unchanged.  The
 //! explicit unarmed-is-a-no-op digest pin lives in `fault_equiv.rs`.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use pwe_augtree::priority::{three_sided_bruteforce, PsPoint};
 use pwe_augtree::range_tree::{range_bruteforce, RtPoint};
@@ -267,4 +274,106 @@ proptest! {
             }
         }
     }
+}
+
+/// Client threads in `many_concurrent_readers_see_whole_generations`: far
+/// more than any pool width.  With a 64-query batch each client spends
+/// nearly all its time inside `serve`, so many hold a generation at once.
+const CLIENTS: usize = 128;
+const SERVES_PER_CLIENT: usize = 20;
+
+#[test]
+fn many_concurrent_readers_see_whole_generations() {
+    let mut rng = StdRng::seed_from_u64(0xC11E_0017);
+    let mut seen_sites = std::collections::BTreeSet::new();
+    let mut batch_of = |len: usize, kinds: &[u8]| UpdateBatch {
+        updates: (0..len)
+            .filter_map(|_| {
+                let kind = kinds[rng.gen_range(0..kinds.len())];
+                let (a, b) = (rng.gen_range(-20..20), rng.gen_range(-20..20));
+                decode_update(kind, rng.gen_range(0..5000), a, b, &mut seen_sites)
+            })
+            .collect(),
+    };
+    // Preload intervals and points; the writer's batches mix all kinds.
+    let preload = batch_of(3000, &[0, 2]);
+    let update_batches: Vec<UpdateBatch> = (0..8).map(|_| batch_of(24, &[0, 1, 2, 3, 4])).collect();
+    let mut c = || rng.gen_range(-24..24);
+    let batch = QueryBatch {
+        queries: (0..64u8).map(|k| decode_query(k, c(), c(), c())).collect(),
+    };
+
+    // expected[g]: the answers generation g must give (gen 1 = preload).
+    let expect_all =
+        |m: &Model| -> Vec<Answer> { batch.queries.iter().map(|q| m.expect(q)).collect() };
+    let mut model = Model::default();
+    let mut expected = vec![expect_all(&model)];
+    for ub in std::iter::once(&preload).chain(&update_batches) {
+        model.apply(ub);
+        expected.push(expect_all(&model));
+    }
+
+    let svc = GeometryService::new(4);
+    svc.apply(&preload);
+    // No start barrier: its waiters wake one at a time, which staggers the
+    // clients, while spawning them back to back puts them all in `serve`.
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut last_gen = 0;
+                    for _ in 0..SERVES_PER_CLIENT {
+                        let ab = svc.serve(&batch);
+                        assert!(ab.gen_id >= last_gen, "reader saw generations out of order");
+                        last_gen = ab.gen_id;
+                        let want = &expected[ab.gen_id as usize];
+                        assert!(ab.answers == *want, "torn answer at gen {last_gen}");
+                    }
+                })
+            })
+            .collect();
+        for ub in &update_batches {
+            svc.apply(ub);
+        }
+        // Re-raise a client's own panic message rather than the scope's.
+        for c in clients {
+            if let Err(payload) = c.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    assert_eq!(svc.current_gen_id() as usize, expected.len() - 1);
+}
+
+/// A nearest query with a NaN or infinite coordinate answers `None` from
+/// a populated service (the shard probe must not build an inverted box).
+#[test]
+fn non_finite_nearest_serves_none() {
+    let svc = GeometryService::new(2);
+    svc.apply(&UpdateBatch {
+        updates: vec![Update::InsertPoint {
+            x: 1.0,
+            y: 2.0,
+            id: 7,
+        }],
+    });
+    let ab = svc.serve(&QueryBatch {
+        queries: [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .map(|x| Query::Nearest { x, y: 0.0 })
+            .to_vec(),
+    });
+    assert_eq!(ab.answers, vec![Answer::Nearest(None); 3]);
+}
+
+/// Two `apply` calls from the two arms of one `join` break the
+/// single-writer discipline; the sanitizer must catch it.  The batches are
+/// empty so no shard rebuild runs: the only claim either arm makes is the
+/// writer's own.
+#[cfg(feature = "racecheck")]
+#[test]
+#[should_panic(expected = "overlapping region claims from concurrent tasks")]
+fn concurrent_applies_panic_under_racecheck() {
+    let svc = GeometryService::new(2);
+    let empty = UpdateBatch { updates: vec![] };
+    rayon::join(|| svc.apply(&empty), || svc.apply(&empty));
 }
