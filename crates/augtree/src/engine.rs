@@ -28,9 +28,12 @@
 //!
 //! Per-tree layouts (the concrete index arithmetic):
 //!
-//! * **Interval tree** (`m` deduplicated endpoint keys): the node of key
-//!   range `[lo, hi)` lives at arena slot `mid = lo + (hi-lo)/2`; its
+//! * **Interval tree** (`m` deduplicated **left**-endpoint keys): the node
+//!   of key range `[lo, hi)` lives at arena slot `mid = lo + (hi-lo)/2`; its
 //!   children cover `[lo, mid)` and `[mid+1, hi)`.  The root is slot `m/2`.
+//!   Left endpoints are enough: a closed interval contains its own left
+//!   endpoint, so the descent placing it follows that key's search path and
+//!   stops on or above the key's node — it never falls off the skeleton.
 //! * **Priority search tree** (`c` surviving points): nodes are laid out in
 //!   preorder — the subtree root at the region base, the left subtree (of
 //!   exactly `⌊(c-1)/2⌋` survivors) immediately after it, the right subtree
@@ -130,7 +133,7 @@ pub(crate) fn partition_in_place<T, F: Fn(&T) -> bool>(s: &mut [T], pred: F) -> 
 /// Single-pass sequential k-way merge of sorted sources into `out`, ordered
 /// by `key` (keys must be distinct across sources — the trees key by
 /// `(f64_key(y), id)`, unique per point).  Charges `|out|·⌈log₂ k⌉` reads
-/// (the tournament among the `k` heads) and `|out|` writes — one write per
+/// (the heap among the `k` heads) and `|out|` writes — one write per
 /// element, which is what keeps the bottom-up augmentation at the
 /// `Θ(n log_α n)` write bound instead of the `Θ(n log n)` a pairwise merge
 /// cascade would cost.

@@ -1,23 +1,26 @@
 //! Interval trees and 1D stabbing queries (Sections 7.1–7.3).
 //!
-//! The tree is a binary search tree over the (sorted) interval endpoints;
-//! every interval is stored at the highest node whose key it covers, in two
-//! inner structures ordered by left and by right endpoint so that a stabbing
-//! query can report exactly the covering intervals in output-sensitive time.
+//! The tree is a binary search tree over the (sorted, deduplicated) **left**
+//! endpoints of the intervals; every interval is stored at the highest node
+//! whose key it covers, in two inner structures ordered by left and by right
+//! endpoint so that a stabbing query can report exactly the covering
+//! intervals in output-sensitive time.  Left endpoints suffice as keys: every
+//! closed interval contains its own left endpoint, so the descent that places
+//! it follows the search path of that key and stops at the latest on the key's
+//! own node — it never falls off the tree.
 //!
 //! * [`IntervalTree::build_classic`] is the textbook construction —
 //!   `Θ(n log n)` reads **and** writes (it moves every interval at every
 //!   level of the recursion).
-//! * [`IntervalTree::build_presorted`] is the paper's post-sorted
-//!   construction — after a write-efficient sort of the endpoints it spends
-//!   only `O(n)` additional writes (Theorem 7.1).
-//! * [`IntervalTree::build_parallel`] is the same post-sorted construction
-//!   run through the shared parallel engine of [`crate::engine`]: the node
-//!   arena is pre-sized and laid out by index arithmetic (slot
-//!   `lo + (hi-lo)/2` for the key range `[lo, hi)`), and the skeleton,
-//!   attachment and weight passes fork over disjoint `&mut` arena regions.
-//!   Dynamic reconstructions ([`IntervalTree::insert`] /
-//!   [`IntervalTree::delete`]) rebuild through this engine.
+//! * [`IntervalTree::build_parallel`] is the paper's post-sorted
+//!   construction (Theorem 7.1) — after a write-efficient sort of the left
+//!   endpoints it spends only `O(n)` additional writes — run through the
+//!   shared parallel engine of [`crate::engine`]: the node arena is
+//!   pre-sized and laid out by index arithmetic (slot `lo + (hi-lo)/2` for
+//!   the key range `[lo, hi)`), and the skeleton, attachment and weight
+//!   passes fork over disjoint `&mut` arena regions.  Dynamic
+//!   reconstructions ([`IntervalTree::insert`] / [`IntervalTree::delete`])
+//!   rebuild through this engine.
 //! * Updates use α-labeling + reconstruction-based rebalancing
 //!   (Theorem 7.3/7.4): only the critical nodes on the search path have
 //!   their balance information rewritten, so an insertion writes
@@ -338,7 +341,7 @@ impl IntervalTree {
             ep[2 * i + 1] = s.right;
         }
         record_reads(2 * m as u64);
-        ep.select_nth_unstable_by(m, |a, b| a.partial_cmp(b).unwrap());
+        ep.select_nth_unstable_by(m, f64::total_cmp);
         let key = ep[m];
         record_writes(2 * m as u64); // the classic build copies per level
 
@@ -370,74 +373,15 @@ impl IntervalTree {
         self.rebuild_blocked();
     }
 
-    /// The post-sorted construction (Theorem 7.1): sort the endpoints with
-    /// the write-efficient sort, build a perfectly balanced search tree over
-    /// them with `O(n)` writes, and assign every interval to the highest node
-    /// whose key it covers (reads only, plus one write per interval).
-    pub fn build_presorted(intervals: &[Interval], alpha: usize) -> Self {
-        assert!(alpha >= 2);
-        let mut tree = IntervalTree {
-            nodes: Vec::new(),
-            root: EMPTY,
-            alpha,
-            len: intervals.len(),
-            built_len: intervals.len(),
-            deletions: 0,
-            rebuilds: 0,
-            left_arena: Vec::new(),
-            right_arena: Vec::new(),
-            blocked: None,
-        };
-        if intervals.is_empty() {
-            return tree;
-        }
-        // 1. Sort the 2n endpoints (write-efficiently).
-        let keys: Vec<u64> = intervals
-            .iter()
-            .flat_map(|s| [f64_key(s.left), f64_key(s.right)])
-            .collect();
-        record_reads(keys.len() as u64);
-        let mut sorted = sort_f64_keys(keys);
-        sorted.dedup();
-
-        // 2. Perfectly balanced BST over the endpoints: O(n) writes.
-        tree.root = tree.build_balanced(&sorted, 0, sorted.len());
-
-        // 3. Assign each interval by descending from the root (reads only)
-        //    and inserting it at the first node whose key it covers.
-        for s in intervals {
-            let node = tree.locate_node(s);
-            tree.attach_interval(node, s);
-        }
-        tree.finalize_build();
-        depth::add(depth::log2_ceil(intervals.len()));
-        tree
-    }
-
-    fn build_balanced(&mut self, keys: &[u64], lo: usize, hi: usize) -> usize {
-        if lo >= hi {
-            return EMPTY;
-        }
-        let mid = (lo + hi) / 2;
-        let idx = self.nodes.len();
-        self.nodes.push(Node::new(f64_from_key(keys[mid])));
-        record_writes(1);
-        let l = self.build_balanced(keys, lo, mid);
-        let r = self.build_balanced(keys, mid + 1, hi);
-        self.nodes[idx].left = l;
-        self.nodes[idx].right = r;
-        idx
-    }
-
-    /// The parallel allocation-lean construction (the shared engine of
-    /// [`crate::engine`]): sort the endpoints once, pre-size the node arena
-    /// (the node of key range `[lo, hi)` lives at slot `lo + (hi-lo)/2`, so
-    /// every subtree owns a disjoint arena region computable by index
-    /// arithmetic alone), then fork `par_join` recursion over disjoint
-    /// `&mut` regions for the skeleton, the interval attachment and the
-    /// weight/criticality pass.  Charges the same `O(sort(n)) + O(n)`-write
-    /// budget as [`IntervalTree::build_presorted`] (plus the grouping sort)
-    /// and produces a bit-identical arena at every thread count.
+    /// The post-sorted construction (Theorem 7.1) on the shared parallel
+    /// engine of [`crate::engine`]: sort the left endpoints once, pre-size
+    /// the node arena (the node of key range `[lo, hi)` lives at slot
+    /// `lo + (hi-lo)/2`, so every subtree owns a disjoint arena region
+    /// computable by index arithmetic alone), then fork `par_join` recursion
+    /// over disjoint `&mut` regions for the skeleton, the interval
+    /// attachment and the weight/criticality pass.  Charges
+    /// `O(sort(n)) + O(n)` writes and produces a bit-identical arena at
+    /// every thread count.
     pub fn build_parallel(intervals: &[Interval], alpha: usize) -> Self {
         Self::build_parallel_with_stats(intervals, alpha).0
     }
@@ -469,12 +413,9 @@ impl IntervalTree {
             crate::engine::build_scratch_budget(intervals.len()),
         );
 
-        // 1. Sort the 2n endpoint keys (write-efficient sort costs) and
+        // 1. Sort the n left-endpoint keys (write-efficient sort costs) and
         //    deduplicate them.
-        let keys: Vec<u64> = intervals
-            .iter()
-            .flat_map(|s| [f64_key(s.left), f64_key(s.right)])
-            .collect();
+        let keys: Vec<u64> = intervals.iter().map(|s| f64_key(s.left)).collect();
         record_reads(keys.len() as u64);
         let mut sorted = sort_f64_keys(keys);
         sorted.dedup();
@@ -587,42 +528,6 @@ impl IntervalTree {
             &arena[side.base_off..side.base_off + side.base_len]
         } else {
             &side.owned
-        }
-    }
-
-    /// Descend from the root to the first node whose key is covered by `s`
-    /// (reads only).  Creates a new leaf if the search falls off the tree.
-    fn locate_node(&mut self, s: &Interval) -> usize {
-        if self.root == EMPTY {
-            self.root = self.nodes.len();
-            self.nodes.push(Node::new(s.left));
-            record_writes(1);
-            return self.root;
-        }
-        let mut cur = self.root;
-        loop {
-            record_read();
-            let key = self.nodes[cur].key;
-            if s.contains(key) {
-                return cur;
-            }
-            let next = if s.right < key {
-                self.nodes[cur].left
-            } else {
-                self.nodes[cur].right
-            };
-            if next == EMPTY {
-                let idx = self.nodes.len();
-                self.nodes.push(Node::new(s.left));
-                record_writes(2);
-                if s.right < key {
-                    self.nodes[cur].left = idx;
-                } else {
-                    self.nodes[cur].right = idx;
-                }
-                return idx;
-            }
-            cur = next;
         }
     }
 
@@ -1140,8 +1045,9 @@ fn skeleton_rec(
     );
 }
 
-/// Read-only descent to the highest node whose key `s` covers.  Because the
-/// skeleton holds every (deduplicated) endpoint, the descent always hits.
+/// Read-only descent to the highest node whose key `s` covers.  The skeleton
+/// holds every (deduplicated) left endpoint and `s` contains its own, so the
+/// descent follows the search path of `s.left` and always hits.
 fn locate_index(nodes: &[Node], root: usize, s: &Interval) -> usize {
     let mut cur = root;
     loop {
@@ -1157,7 +1063,7 @@ fn locate_index(nodes: &[Node], root: usize, s: &Interval) -> usize {
         };
         assert!(
             cur != EMPTY,
-            "interval endpoints are present after dedup, so the descent cannot fall off"
+            "left endpoints are present after dedup, so the descent cannot fall off"
         );
     }
 }
@@ -1332,27 +1238,12 @@ mod tests {
     }
 
     #[test]
-    fn presorted_and_classic_answer_identically() {
-        let _g = crate::counter_guard();
-        let intervals = random_intervals(800, 1000.0, 50.0, 1);
-        let queries = stabbing_queries(200, 1000.0, 2);
-        let classic = IntervalTree::build_classic(&intervals, 4);
-        let presorted = IntervalTree::build_presorted(&intervals, 4);
-        for &q in &queries {
-            let expected = stab_bruteforce(&intervals, q);
-            assert_eq!(classic.stab(q), expected);
-            assert_eq!(presorted.stab(q), expected);
-        }
-    }
-
-    #[test]
-    fn parallel_build_answers_match_presorted_and_classic() {
+    fn parallel_build_answers_match_classic() {
         let _g = crate::counter_guard();
         let intervals = random_intervals(3000, 1000.0, 50.0, 21);
         let queries = stabbing_queries(200, 1000.0, 22);
         for alpha in [2usize, 8, 64] {
             let classic = IntervalTree::build_classic(&intervals, alpha);
-            let presorted = IntervalTree::build_presorted(&intervals, alpha);
             let (parallel, stats) = IntervalTree::build_parallel_with_stats(&intervals, alpha);
             assert!(
                 stats.scratch.within_budget(),
@@ -1363,14 +1254,8 @@ mod tests {
             for &q in &queries {
                 let expected = stab_bruteforce(&intervals, q);
                 assert_eq!(classic.stab(q), expected, "classic α={alpha} at {q}");
-                assert_eq!(presorted.stab(q), expected, "presorted α={alpha} at {q}");
                 assert_eq!(parallel.stab(q), expected, "parallel α={alpha} at {q}");
             }
-            assert_eq!(
-                parallel.critical_count(),
-                presorted.critical_count(),
-                "identical key sets must produce identical α-labelings"
-            );
         }
     }
 
@@ -1426,32 +1311,14 @@ mod tests {
     }
 
     #[test]
-    fn presorted_writes_fewer_than_classic() {
-        let _g = crate::counter_guard();
-        let intervals = random_intervals(20_000, 1e6, 100.0, 3);
-        let (_, classic) = measure(Omega::symmetric(), || {
-            IntervalTree::build_classic(&intervals, 2)
-        });
-        let (_, presorted) = measure(Omega::symmetric(), || {
-            IntervalTree::build_presorted(&intervals, 2)
-        });
-        assert!(
-            presorted.writes < classic.writes,
-            "post-sorted construction should write less: {} vs {}",
-            presorted.writes,
-            classic.writes
-        );
-    }
-
-    #[test]
     fn empty_and_tiny_trees() {
         let _g = crate::counter_guard();
-        let t = IntervalTree::build_presorted(&[], 2);
+        let t = IntervalTree::build_parallel(&[], 2);
         assert!(t.is_empty());
         assert_eq!(t.stab(1.0), Vec::<u64>::new());
 
         let one = vec![Interval::new(1.0, 2.0, 7)];
-        let t = IntervalTree::build_presorted(&one, 2);
+        let t = IntervalTree::build_parallel(&one, 2);
         assert_eq!(t.stab(1.5), vec![7]);
         assert_eq!(t.stab(2.0), vec![7]);
         assert_eq!(t.stab(2.1), Vec::<u64>::new());
@@ -1461,7 +1328,7 @@ mod tests {
     fn dynamic_insertions_and_deletions_match_bruteforce() {
         let _g = crate::counter_guard();
         let initial = random_intervals(300, 1000.0, 30.0, 5);
-        let mut tree = IntervalTree::build_presorted(&initial, 4);
+        let mut tree = IntervalTree::build_parallel(&initial, 4);
         let mut reference = initial.clone();
 
         let extra = random_intervals(300, 1000.0, 30.0, 6);
@@ -1500,8 +1367,8 @@ mod tests {
     fn larger_alpha_touches_fewer_critical_nodes() {
         let _g = crate::counter_guard();
         let initial = random_intervals(4000, 1e5, 10.0, 9);
-        let mut small_alpha = IntervalTree::build_presorted(&initial, 2);
-        let mut large_alpha = IntervalTree::build_presorted(&initial, 16);
+        let mut small_alpha = IntervalTree::build_parallel(&initial, 2);
+        let mut large_alpha = IntervalTree::build_parallel(&initial, 16);
         assert!(large_alpha.critical_count() < small_alpha.critical_count());
 
         let extra = random_intervals(500, 1e5, 10.0, 10);
@@ -1522,7 +1389,7 @@ mod tests {
     fn skewed_insertions_stay_queryable_via_reconstruction() {
         let _g = crate::counter_guard();
         // Insert nested intervals, a worst case for the unbalanced key set.
-        let mut tree = IntervalTree::build_presorted(&random_intervals(64, 100.0, 5.0, 11), 2);
+        let mut tree = IntervalTree::build_parallel(&random_intervals(64, 100.0, 5.0, 11), 2);
         let mut reference = tree.collect_all();
         for i in 0..500u64 {
             let left = 200.0 + i as f64 * 0.5;
@@ -1550,7 +1417,7 @@ mod tests {
         ) {
             let _g = crate::counter_guard();
             let intervals = random_intervals(n, 1000.0, 40.0, seed);
-            let tree = IntervalTree::build_presorted(&intervals, alpha);
+            let tree = IntervalTree::build_parallel(&intervals, alpha);
             for &q in &queries {
                 prop_assert_eq!(tree.stab(q), stab_bruteforce(&intervals, q));
             }
@@ -1562,7 +1429,7 @@ mod tests {
             ops in proptest::collection::vec((0.0f64..100.0, 0.1f64..10.0, any::<bool>()), 1..80),
         ) {
             let _g = crate::counter_guard();
-            let mut tree = IntervalTree::build_presorted(&[], 4);
+            let mut tree = IntervalTree::build_parallel(&[], 4);
             let mut reference: Vec<Interval> = Vec::new();
             for (i, &(left, len, del)) in ops.iter().enumerate() {
                 if del && !reference.is_empty() {

@@ -1,26 +1,28 @@
-//! Priority search trees and 3-sided range queries (Sections 7.1–7.2,
-//! Appendix A).
+//! Priority search trees and 3-sided range queries (Sections 7.1–7.2).
 //!
 //! This is the paper's second variant of the priority search tree: a *heap*
 //! on the priorities (`y`) in which every node is augmented with a splitter
-//! on the coordinate (`x`) dimension.  The write-efficient construction
-//! (Theorem 7.1) works on the x-sorted point list and uses the tournament
-//! tree of Appendix A to find, for every sub-range, the remaining point of
-//! maximum priority and the median of the surviving points — `O(n)` reads
-//! and writes overall after sorting.
+//! on the coordinate (`x`) dimension.
+//!
+//! * [`PrioritySearchTree::build_classic`] is the textbook construction —
+//!   `Θ(n log n)` reads and writes (it copies every point at every level).
+//! * [`PrioritySearchTree::build_parallel`] is the post-sorted construction
+//!   (Theorem 7.1) on the shared engine of [`crate::engine`]: it works on the
+//!   x-sorted point list and finds, for every sub-range, the surviving point
+//!   of maximum priority and the survivor median with validity-flag scans —
+//!   `O(n)` writes after sorting — forking over disjoint coordinate ranges.
 //!
 //! Dynamic updates follow the reconstruction-based scheme: insertions sift
 //! down by priority along the splitter path; deletions promote the
 //! higher-priority child into the hole; and the whole structure is rebuilt
-//! once the number of updates since the last construction reaches the size
-//! at construction (the simplification relative to the paper's per-subtree
-//! α-labeled rebuilding is recorded in EXPERIMENTS.md).
+//! once the number of updates since the last construction exceeds the size
+//! at construction — a simplification of the paper's per-subtree
+//! α-labeled rebuilding.
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_asym::depth;
 use pwe_geom::point::Point2;
 use pwe_primitives::racecheck;
-use pwe_primitives::tournament::TournamentTree;
 
 use crate::interval::f64_key;
 
@@ -98,7 +100,7 @@ impl PrioritySearchTree {
         let best = points
             .iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| a.point.y().partial_cmp(&b.point.y()).unwrap())
+            .max_by(|(_, a), (_, b)| a.point.y().total_cmp(&b.point.y()))
             .map(|(i, _)| i)
             .unwrap();
         points.swap(best, m - 1);
@@ -108,8 +110,7 @@ impl PrioritySearchTree {
         let splitter = if survivors.is_empty() {
             item.point.x()
         } else {
-            survivors
-                .select_nth_unstable_by(mid, |a, b| a.point.x().partial_cmp(&b.point.x()).unwrap());
+            survivors.select_nth_unstable_by(mid, |a, b| a.point.x().total_cmp(&b.point.x()));
             survivors[mid].point.x()
         };
         let idx = self.nodes.len();
@@ -130,105 +131,17 @@ impl PrioritySearchTree {
         idx
     }
 
-    /// The post-sorted construction (Theorem 7.1): sort by x (write-efficient
-    /// sort costs), then build with a tournament tree — `O(n)` further reads
-    /// and writes, no per-level copying.
-    pub fn build_presorted(points: &[PsPoint]) -> Self {
-        let mut tree = PrioritySearchTree {
-            nodes: Vec::new(),
-            root: EMPTY,
-            len: points.len(),
-            built_len: points.len(),
-            updates_since_build: 0,
-            rebuilds: 0,
-        };
-        if points.is_empty() {
-            return tree;
-        }
-        // Sort by x (costs of the write-efficient sort: n log n reads, n writes).
-        let mut sorted: Vec<PsPoint> = points.to_vec();
-        sorted.sort_by(|a, b| a.point.x().partial_cmp(&b.point.x()).unwrap());
-        record_reads(points.len() as u64 * depth::log2_ceil(points.len().max(2)));
-        record_writes(points.len() as u64);
-
-        // Tournament tree over the priorities, supporting range-max, k-th
-        // valid and deletion (Appendix A).
-        let priorities: Vec<u64> = sorted.iter().map(|p| f64_key(p.point.y())).collect();
-        let mut tournament = TournamentTree::new(&priorities);
-        tree.root = tree.build_presorted_rec(&sorted, &mut tournament, 0, sorted.len());
-        depth::add(depth::log2_ceil(points.len()));
-        tree
-    }
-
-    fn build_presorted_rec(
-        &mut self,
-        sorted: &[PsPoint],
-        tournament: &mut TournamentTree<u64>,
-        lo: usize,
-        hi: usize,
-    ) -> usize {
-        let valid = tournament.count_valid(lo, hi);
-        if valid == 0 {
-            return EMPTY;
-        }
-        // The subtree root is the surviving point of maximum priority.
-        let best = tournament
-            .range_max(lo, hi)
-            .expect("non-empty range has a maximum");
-        let item = sorted[best];
-        // Scoped deletion (Appendix A): later construction queries are either
-        // inside [lo, hi) or disjoint from it, so ancestors spanning beyond
-        // the range need not be rewritten; the total writes stay O(n).
-        tournament.delete_scoped(best, lo, hi);
-        record_writes(1);
-
-        let remaining = valid - 1;
-        if remaining == 0 {
-            let idx = self.nodes.len();
-            self.nodes.push(PNode {
-                item: Some(item),
-                splitter: item.point.x(),
-                left: EMPTY,
-                right: EMPTY,
-                size: 1,
-            });
-            record_writes(1);
-            return idx;
-        }
-        // Split the survivors at their median coordinate.
-        let mid_rank = remaining / 2;
-        let median_idx = tournament
-            .kth_valid(lo, hi, mid_rank)
-            .expect("median of a non-empty range");
-        let splitter = sorted[median_idx].point.x();
-
-        let idx = self.nodes.len();
-        self.nodes.push(PNode {
-            item: Some(item),
-            splitter,
-            left: EMPTY,
-            right: EMPTY,
-            size: valid,
-        });
-        record_writes(1);
-        let l = self.build_presorted_rec(sorted, tournament, lo, median_idx);
-        let r = self.build_presorted_rec(sorted, tournament, median_idx, hi);
-        self.nodes[idx].left = l;
-        self.nodes[idx].right = r;
-        idx
-    }
-
-    /// The parallel allocation-lean construction (the shared engine of
-    /// [`crate::engine`]): sort by x once, then build the heap-with-splitters
-    /// in place over the x-sorted buffer.  Instead of a shared tournament
-    /// tree, each recursion step selects the surviving maximum-priority
-    /// point and the survivor median with validity-flag scans (`O(width)`
-    /// reads, `O(1)` writes per node), so disjoint coordinate ranges touch
-    /// disjoint state and the recursion forks with `par_join` over disjoint
-    /// `&mut` regions of a pre-sized preorder node arena (subtree root at
-    /// the region base, the left subtree's `⌊(c-1)/2⌋` slots immediately
-    /// after).  `O(n log n)` reads, `O(n)` writes after the sort, identical
-    /// arena at every thread count.
+    /// The post-sorted construction (Theorem 7.1) on the shared parallel
+    /// engine of [`crate::engine`]: sort by x once, then build the
+    /// heap-with-splitters in place over the x-sorted buffer.  Each
+    /// recursion step selects the surviving maximum-priority point and the
+    /// survivor median with validity-flag scans (`O(width)` reads, `O(1)`
+    /// writes per node), so disjoint coordinate ranges touch disjoint state
+    /// and the recursion forks with `par_join` over disjoint `&mut` regions
+    /// of a pre-sized preorder node arena (subtree root at the region base,
+    /// the left subtree's `⌊(c-1)/2⌋` slots immediately after).
+    /// `O(n log n)` reads, `O(n)` writes after the sort, identical arena at
+    /// every thread count.
     pub fn build_parallel(points: &[PsPoint]) -> Self {
         Self::build_parallel_with_stats(points).0
     }
@@ -252,7 +165,7 @@ impl PrioritySearchTree {
             pwe_asym::smallmem::SmallMem::with_budget(crate::engine::build_scratch_budget(n));
         // Sort by x (write-efficient sort costs: n log n reads, n writes).
         let mut sorted: Vec<PsPoint> = points.to_vec();
-        sorted.sort_by(|a, b| a.point.x().partial_cmp(&b.point.x()).unwrap());
+        sorted.sort_by(|a, b| a.point.x().total_cmp(&b.point.x()));
         record_reads(n as u64 * depth::log2_ceil(n.max(2)));
         record_writes(n as u64);
         // Validity flags are the only mutable shared state; they split along
@@ -737,12 +650,10 @@ mod tests {
         let _g = crate::counter_guard();
         let points = make_points(600, 1);
         let classic = PrioritySearchTree::build_classic(&points);
-        let presorted = PrioritySearchTree::build_presorted(&points);
         let parallel = PrioritySearchTree::build_parallel(&points);
         for &(lo, hi, y) in &random_three_sided_queries(100, 0.4, 2) {
             let expected = three_sided_bruteforce(&points, lo, hi, y);
             assert_eq!(classic.query_3sided(lo, hi, y), expected);
-            assert_eq!(presorted.query_3sided(lo, hi, y), expected);
             assert_eq!(parallel.query_3sided(lo, hi, y), expected);
         }
     }
@@ -827,36 +738,9 @@ mod tests {
     }
 
     #[test]
-    fn presorted_writes_fewer_than_classic() {
-        let _g = crate::counter_guard();
-        let points = make_points(20_000, 3);
-        let (_, classic) = measure(Omega::symmetric(), || {
-            PrioritySearchTree::build_classic(&points)
-        });
-        let (_, presorted) = measure(Omega::symmetric(), || {
-            PrioritySearchTree::build_presorted(&points)
-        });
-        assert!(
-            presorted.writes < classic.writes,
-            "post-sorted construction should write less: {} vs {}",
-            presorted.writes,
-            classic.writes
-        );
-    }
-
-    #[test]
-    fn presorted_tree_is_balanced() {
-        let _g = crate::counter_guard();
-        let points = make_points(4096, 5);
-        let tree = PrioritySearchTree::build_presorted(&points);
-        // Median splitters keep the height within ~log2(n) + O(1).
-        assert!(tree.height() <= 16, "height {} too large", tree.height());
-    }
-
-    #[test]
     fn empty_and_single() {
         let _g = crate::counter_guard();
-        let empty = PrioritySearchTree::build_presorted(&[]);
+        let empty = PrioritySearchTree::build_parallel(&[]);
         assert!(empty.is_empty());
         assert!(empty.query_3sided(0.0, 1.0, 0.0).is_empty());
 
@@ -864,7 +748,7 @@ mod tests {
             point: Point2::xy(0.5, 0.5),
             id: 9,
         }];
-        let tree = PrioritySearchTree::build_presorted(&single);
+        let tree = PrioritySearchTree::build_parallel(&single);
         assert_eq!(tree.query_3sided(0.0, 1.0, 0.0), vec![9]);
         assert_eq!(tree.query_3sided(0.0, 1.0, 0.6), Vec::<u64>::new());
         assert_eq!(tree.query_3sided(0.6, 1.0, 0.0), Vec::<u64>::new());
@@ -874,7 +758,7 @@ mod tests {
     fn dynamic_updates_match_bruteforce() {
         let _g = crate::counter_guard();
         let initial = make_points(300, 7);
-        let mut tree = PrioritySearchTree::build_presorted(&initial);
+        let mut tree = PrioritySearchTree::build_parallel(&initial);
         let mut reference = initial.clone();
         // Insert 300 more.
         for (i, p) in make_points(300, 8).into_iter().enumerate() {
@@ -918,7 +802,7 @@ mod tests {
         ) {
             let _g = crate::counter_guard();
             let points = make_points(n, seed);
-            let tree = PrioritySearchTree::build_presorted(&points);
+            let tree = PrioritySearchTree::build_parallel(&points);
             prop_assert_eq!(
                 tree.query_3sided(lo, lo + width, y),
                 three_sided_bruteforce(&points, lo, lo + width, y)

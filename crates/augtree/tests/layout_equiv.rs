@@ -314,8 +314,8 @@ fn walk_charges_are_pinned() {
         let (_, r, w) = charged(f);
         (r, w)
     };
-    assert_eq!(charges(&|| it.stab(500.0)), (63, 39), "blocked stab");
-    assert_eq!(charges(&|| it.stab_flat(500.0)), (63, 39), "flat stab");
+    assert_eq!(charges(&|| it.stab(500.0)), (61, 39), "blocked stab");
+    assert_eq!(charges(&|| it.stab_flat(500.0)), (61, 39), "flat stab");
     assert_eq!(charges(&|| rt.query(&rect)), (679, 467), "blocked range");
     assert_eq!(charges(&|| rt.query_flat(&rect)), (679, 467), "flat range");
     assert_eq!(

@@ -1,8 +1,8 @@
 //! Property tests cross-validating the parallel engine builds against the
-//! existing sequential constructions: over random inputs and α ∈ {2, 8, 64}
+//! classic sequential constructions: over random inputs and α ∈ {2, 8, 64}
 //! the engine-built trees must answer every stabbing, 3-sided and 2-D range
-//! query identically to the classic / post-sorted sequential builds (and to
-//! the brute-force oracles).  The CI matrix runs this file at
+//! query identically to the classic builds (and to the brute-force
+//! oracles).  The CI matrix runs this file at
 //! `RAYON_NUM_THREADS ∈ {1, 4}`, so the equivalence holds both with the
 //! pool disabled and under real work stealing.
 
@@ -50,12 +50,10 @@ proptest! {
         let intervals = random_intervals(n, 1000.0, 40.0, seed);
         for alpha in ALPHAS {
             let classic = IntervalTree::build_classic(&intervals, alpha);
-            let presorted = IntervalTree::build_presorted(&intervals, alpha);
             let parallel = IntervalTree::build_parallel(&intervals, alpha);
             for &q in &queries {
                 let expected = stab_bruteforce(&intervals, q);
                 prop_assert_eq!(&classic.stab(q), &expected, "classic α={} q={}", alpha, q);
-                prop_assert_eq!(&presorted.stab(q), &expected, "presorted α={} q={}", alpha, q);
                 prop_assert_eq!(&parallel.stab(q), &expected, "parallel α={} q={}", alpha, q);
             }
         }
@@ -71,11 +69,9 @@ proptest! {
     ) {
         let points = ps_points(n, seed);
         let classic = PrioritySearchTree::build_classic(&points);
-        let presorted = PrioritySearchTree::build_presorted(&points);
         let parallel = PrioritySearchTree::build_parallel(&points);
         let expected = three_sided_bruteforce(&points, lo, lo + width, y);
         prop_assert_eq!(&classic.query_3sided(lo, lo + width, y), &expected);
-        prop_assert_eq!(&presorted.query_3sided(lo, lo + width, y), &expected);
         prop_assert_eq!(&parallel.query_3sided(lo, lo + width, y), &expected);
     }
 
@@ -109,7 +105,7 @@ proptest! {
 #[test]
 fn parallel_matches_sequential_above_fork_cutoff() {
     let intervals = random_intervals(6000, 1e5, 80.0, 71);
-    let it_seq = IntervalTree::build_presorted(&intervals, 8);
+    let it_seq = IntervalTree::build_classic(&intervals, 8);
     let it_par = IntervalTree::build_parallel(&intervals, 8);
     for q in [0.0, 1e4, 2.5e4, 5e4, 7.5e4, 9.9e4] {
         assert_eq!(it_seq.stab(q), it_par.stab(q));
@@ -117,14 +113,13 @@ fn parallel_matches_sequential_above_fork_cutoff() {
     }
 
     let points = ps_points(6000, 72);
-    let ps_seq = PrioritySearchTree::build_presorted(&points);
+    let ps_seq = PrioritySearchTree::build_classic(&points);
     let ps_par = PrioritySearchTree::build_parallel(&points);
     for i in 0..10 {
         let lo = i as f64 / 12.0;
-        assert_eq!(
-            ps_seq.query_3sided(lo, lo + 0.1, 0.5),
-            ps_par.query_3sided(lo, lo + 0.1, 0.5)
-        );
+        let got = ps_par.query_3sided(lo, lo + 0.1, 0.5);
+        assert_eq!(ps_seq.query_3sided(lo, lo + 0.1, 0.5), got);
+        assert_eq!(got, three_sided_bruteforce(&points, lo, lo + 0.1, 0.5));
     }
 
     let points = rt_points(6000, 73);
@@ -138,5 +133,36 @@ fn parallel_matches_sequential_above_fork_cutoff() {
             assert_eq!(classic.query(&rect), expected, "classic α={alpha}");
             assert_eq!(engine.query(&rect), expected, "engine α={alpha}");
         }
+    }
+}
+
+/// A NaN coordinate must not panic any point-structure build (the x-sorts
+/// order by `total_cmp`); the finite points stay queryable.
+#[test]
+fn point_builds_tolerate_nan_coordinates() {
+    for (x, y) in [(f64::NAN, 0.5), (0.5, f64::NAN)] {
+        let mut rt = rt_points(300, 74);
+        rt[17].point = pwe_geom::point::Point2::xy(x, y);
+        let finite: Vec<RtPoint> = rt.iter().copied().filter(|p| p.id != 17).collect();
+        let rect = Rect::new(0.1, 0.6, 0.2, 0.9);
+        for alpha in ALPHAS {
+            assert_eq!(
+                RangeTree2D::build(&rt, alpha).query(&rect),
+                range_bruteforce(&finite, &rect)
+            );
+            assert_eq!(
+                RangeTree2D::build_classic(&rt, alpha).query(&rect),
+                range_bruteforce(&finite, &rect)
+            );
+        }
+        let ps: Vec<PsPoint> = rt
+            .iter()
+            .map(|p| PsPoint {
+                point: p.point,
+                id: p.id,
+            })
+            .collect();
+        PrioritySearchTree::build_parallel(&ps);
+        PrioritySearchTree::build_classic(&ps);
     }
 }

@@ -24,7 +24,7 @@ fn query_budget(n: usize) -> u64 {
 #[test]
 fn small_memory_interval_stab_at_two_sizes() {
     for n in [1_000usize, 30_000] {
-        let tree = IntervalTree::build_presorted(&random_intervals(n, 1e6, 200.0, 17), 4);
+        let tree = IntervalTree::build_parallel(&random_intervals(n, 1e6, 200.0, 17), 4);
         let ledger = SmallMem::logarithmic(n, QUERY_SCRATCH_C);
         for &q in &stabbing_queries(64, 1e6, 19) {
             let mut scratch = TaskScratch::new(&ledger);
@@ -52,7 +52,7 @@ fn small_memory_priority_3sided_at_two_sizes() {
                 id: i as u64,
             })
             .collect();
-        let tree = PrioritySearchTree::build_presorted(&points);
+        let tree = PrioritySearchTree::build_parallel(&points);
         let ledger = SmallMem::logarithmic(n, QUERY_SCRATCH_C);
         for i in 0..32 {
             let lo = i as f64 / 40.0;

@@ -13,15 +13,12 @@ fn bench_interval(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("build_classic", n), |b| {
         b.iter(|| IntervalTree::build_classic(&intervals, 2))
     });
-    group.bench_function(BenchmarkId::new("build_presorted", n), |b| {
-        b.iter(|| IntervalTree::build_presorted(&intervals, 2))
-    });
     group.bench_function(BenchmarkId::new("build_parallel", n), |b| {
         b.iter(|| IntervalTree::build_parallel(&intervals, 2))
     });
     let queries = stabbing_queries(500, 1e6, 18);
     for alpha in [2usize, 8, 16] {
-        let tree = IntervalTree::build_presorted(&intervals, alpha);
+        let tree = IntervalTree::build_parallel(&intervals, alpha);
         group.bench_function(BenchmarkId::new("stab_queries", alpha), |b| {
             b.iter(|| {
                 let mut total = 0;

@@ -20,13 +20,10 @@ fn bench_priority(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("build_classic", n), |b| {
         b.iter(|| PrioritySearchTree::build_classic(&points))
     });
-    group.bench_function(BenchmarkId::new("build_presorted", n), |b| {
-        b.iter(|| PrioritySearchTree::build_presorted(&points))
-    });
     group.bench_function(BenchmarkId::new("build_parallel", n), |b| {
         b.iter(|| PrioritySearchTree::build_parallel(&points))
     });
-    let tree = PrioritySearchTree::build_presorted(&points);
+    let tree = PrioritySearchTree::build_parallel(&points);
     let queries = random_three_sided_queries(500, 0.2, 24);
     group.bench_function(BenchmarkId::new("three_sided_queries", n), |b| {
         b.iter(|| {

@@ -152,15 +152,15 @@ pub fn interval_experiment(n: usize, alphas: &[usize], omega: Omega) -> Vec<Row>
         n,
         report: classic,
     });
-    let (_, presorted) = measure(omega, || IntervalTree::build_presorted(&intervals, 2));
+    let (_, post_sorted) = measure(omega, || IntervalTree::build_parallel(&intervals, 2));
     rows.push(Row {
         label: "interval/post-sorted construction".into(),
         n,
-        report: presorted,
+        report: post_sorted,
     });
 
     for &alpha in alphas {
-        let mut tree = IntervalTree::build_presorted(&intervals, alpha);
+        let mut tree = IntervalTree::build_parallel(&intervals, alpha);
         let (_, query_cost) = measure(omega, || {
             let mut total = 0usize;
             for &q in &queries {
@@ -208,11 +208,11 @@ pub fn priority_experiment(n: usize, omega: Omega) -> Vec<Row> {
         n,
         report: classic,
     });
-    let (tree, presorted) = measure(omega, || PrioritySearchTree::build_presorted(&points));
+    let (tree, post_sorted) = measure(omega, || PrioritySearchTree::build_parallel(&points));
     rows.push(Row {
         label: "priority/post-sorted construction".into(),
         n,
-        report: presorted,
+        report: post_sorted,
     });
 
     let (_, query_cost) = measure(omega, || {
@@ -407,7 +407,7 @@ pub fn smallmem_experiment(n: usize) -> Vec<SmallMemRow> {
 
     // Augmented-tree query paths (Theorem 7.1): O(log n) words per query.
     let intervals = random_intervals(n, 1e6, 200.0, 17);
-    let tree = IntervalTree::build_presorted(&intervals, 2);
+    let tree = IntervalTree::build_parallel(&intervals, 2);
     let ledger = SmallMem::logarithmic(n, pwe_augtree::QUERY_SCRATCH_C);
     for &q in &stabbing_queries(64, 1e6, 19) {
         let mut scratch = TaskScratch::new(&ledger);

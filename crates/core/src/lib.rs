@@ -11,8 +11,7 @@
 //!   small-memory ledger whose per-task budgets the `small_memory_*` tests
 //!   pin (see the repo-root `MODEL.md`);
 //! * the **parallel primitives** the paper relies on ([`primitives`]) —
-//!   scans, packing, semisort, random permutations, priority writes,
-//!   tournament trees;
+//!   scans, semisort, random permutations, priority writes and merges;
 //! * the **geometry substrate** ([`geom`]) — exact predicates, points,
 //!   boxes, intervals and seeded workload generators;
 //! * the paper's two frameworks — DAG tracing + prefix doubling ([`trace`])

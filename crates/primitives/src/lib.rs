@@ -7,7 +7,6 @@
 //! charges:
 //!
 //! * [`scan`] — exclusive/inclusive prefix sums (`O(n)` work, `O(log n)` depth).
-//! * [`pack`] — filter/pack by flags, the standard output-sensitive gather.
 //! * [`permute`] — seeded random permutations; the randomized incremental
 //!   algorithms all assume the input arrives in random order.
 //! * [`semisort`] — grouping records by key in expected linear work and
@@ -16,9 +15,6 @@
 //!   leaf during an incremental round.
 //! * [`priority_write`] — the priority-write (write-min) primitive the
 //!   parallel incremental algorithms resolve conflicts with.
-//! * [`tournament`] — the tournament tree of Appendix A: range-minimum,
-//!   k-th valid element and deletion in logarithmic reads, used by the
-//!   linear-write priority-search-tree construction.
 //! * [`merge`] — parallel merge of sorted sequences (used by the
 //!   write-inefficient merge-sort baseline and by bulk updates).
 //! * [`hash`] — a fixed-seed hasher ([`hash::DetState`]) for the few places
@@ -44,25 +40,21 @@ pub mod faultpoint;
 pub mod hash;
 pub mod layout;
 pub mod merge;
-pub mod pack;
 pub mod permute;
 pub mod priority_write;
 pub mod racecheck;
 pub mod scan;
 pub mod search;
 pub mod semisort;
-pub mod tournament;
 
 pub use faultpoint::InjectedFault;
 pub use hash::{DetHashMap, DetHashSet, DetState};
 pub use layout::{BlockedNode, BlockedTree, NO_NODE};
-pub use pack::{pack_flagged, pack_indices};
 pub use permute::{random_permutation, shuffle_in_place};
 pub use priority_write::{PriorityCell, PriorityIndex};
 pub use scan::{exclusive_scan, inclusive_scan, par_exclusive_scan};
 pub use search::{branchless_partition_point, branchless_search_by_key, run_partition_point};
 pub use semisort::semisort_by_key;
-pub use tournament::TournamentTree;
 
 /// Serializes this crate's unit tests that run instrumented code: cost
 /// assertions difference the process-global ARAM counters, so no other

@@ -26,11 +26,13 @@ pub const MESH_SHARD: u32 = u32::MAX;
 /// callers keep them unique per element family (interval / point / site).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Update {
-    /// Insert a closed interval (stabbing workload).
+    /// Insert a closed interval (stabbing workload).  Rejected unless both
+    /// endpoints are finite and `left ≤ right`.
     InsertInterval(Interval),
     /// Delete the interval with this id.
     DeleteInterval(u64),
     /// Insert a 2D point (range / 3-sided / nearest-neighbour workloads).
+    /// Rejected unless both coordinates are finite.
     InsertPoint {
         /// x coordinate.
         x: f64,
@@ -55,6 +57,18 @@ pub struct UpdateBatch {
     pub updates: Vec<Update>,
 }
 
+/// Why `apply` rejected one update of a batch.  A rejected update is
+/// skipped; the rest of the batch applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// An [`Update::InsertInterval`] endpoint is NaN or infinite.
+    NonFiniteEndpoint,
+    /// An [`Update::InsertInterval`] has `left > right`.
+    InvertedInterval,
+    /// An [`Update::InsertPoint`] coordinate is NaN or infinite.
+    NonFiniteCoordinate,
+}
+
 /// What one `apply` call did: the containment layer's writer-side report.
 /// Outside an armed fault plan every batch publishes cleanly
 /// (`published == true`, `quarantined` empty).
@@ -73,6 +87,9 @@ pub struct ApplyReport {
     /// [`MESH_SHARD`]) whose rebuild is quarantined, serving their
     /// last-good snapshot under retry-with-backoff.
     pub quarantined: Vec<u32>,
+    /// Updates skipped as malformed: `(index in the batch, reason)`, in
+    /// batch order.
+    pub rejected: Vec<(usize, RejectReason)>,
 }
 
 /// One query against the pinned generation.

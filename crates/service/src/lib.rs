@@ -47,8 +47,8 @@ pub mod router;
 pub mod service;
 
 pub use api::{
-    Answer, AnswerBatch, ApplyReport, NearestHit, Query, QueryBatch, StaleShard, Update,
-    UpdateBatch, MESH_SHARD,
+    Answer, AnswerBatch, ApplyReport, NearestHit, Query, QueryBatch, RejectReason, StaleShard,
+    Update, UpdateBatch, MESH_SHARD,
 };
 pub use router::ShardRouter;
 pub use service::{GeometryService, ServiceStats};

@@ -39,8 +39,8 @@ use pwe_geom::point::GridPoint;
 use pwe_primitives::{faultpoint, racecheck};
 
 use crate::api::{
-    Answer, AnswerBatch, ApplyReport, NearestHit, Query, QueryBatch, StaleShard, Update,
-    UpdateBatch, MESH_SHARD,
+    Answer, AnswerBatch, ApplyReport, NearestHit, Query, QueryBatch, RejectReason, StaleShard,
+    Update, UpdateBatch, MESH_SHARD,
 };
 use crate::gen::{MeshGen, ServiceGen, ShardData, ShardGen, ShardStatus};
 use crate::radix::sort_ids;
@@ -257,10 +257,13 @@ impl GeometryService {
         self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Apply an update batch: mutate the authoritative element sets,
-    /// rebuild the shards due for it (the dirtied ones, plus quarantined
-    /// ones whose backoff expired) through the engines — each rebuild
-    /// contained by `catch_unwind` — and publish the next generation.
+    /// Apply an update batch: skip the malformed updates (non-finite
+    /// coordinates, inverted intervals), reporting each in
+    /// [`ApplyReport::rejected`]; mutate the authoritative element sets
+    /// with the rest; rebuild the shards due for it (the dirtied ones, plus
+    /// quarantined ones whose backoff expired) through the engines — each
+    /// rebuild contained by `catch_unwind` — and publish the next
+    /// generation.
     /// Failed rebuilds quarantine their shard, which keeps serving its
     /// last-good snapshot (stale-flagged); a fault at the commit step
     /// aborts the publish losslessly.  The returned [`ApplyReport`] says
@@ -278,7 +281,12 @@ impl GeometryService {
         let mut guard = self.lock_writer();
         let w = &mut *guard;
         w.tick += 1;
-        for u in &batch.updates {
+        let mut rejected = Vec::new();
+        for (i, u) in batch.updates.iter().enumerate() {
+            if let Some(reason) = reject_reason(u) {
+                rejected.push((i, reason));
+                continue;
+            }
             match *u {
                 Update::InsertInterval(iv) => {
                     let s = self.router.shard_of(iv.id);
@@ -437,18 +445,14 @@ impl GeometryService {
             if !quarantined.is_empty() {
                 w.stats.quarantine_generations += 1;
             }
-            ApplyReport {
-                gen_id,
-                published: true,
-                quarantined,
-            }
         } else {
             w.stats.publish_aborts += 1;
-            ApplyReport {
-                gen_id,
-                published: false,
-                quarantined,
-            }
+        }
+        ApplyReport {
+            gen_id,
+            published: commit_ok,
+            quarantined,
+            rejected,
         }
     }
 
@@ -526,6 +530,23 @@ fn sorted_ids(per_shard: Vec<Vec<u64>>) -> Answer {
     let mut ids = per_shard.concat();
     sort_ids(&mut ids);
     Answer::Ids(ids)
+}
+
+/// The reason `apply` rejects `u`, if it does: interval endpoints must be
+/// finite with `left ≤ right` (the interval engine's skeleton relies on
+/// it), point coordinates finite.  Deletions and sites (integer grid
+/// points) always pass.
+fn reject_reason(u: &Update) -> Option<RejectReason> {
+    match *u {
+        Update::InsertInterval(iv) if !(iv.left.is_finite() && iv.right.is_finite()) => {
+            Some(RejectReason::NonFiniteEndpoint)
+        }
+        Update::InsertInterval(iv) if iv.left > iv.right => Some(RejectReason::InvertedInterval),
+        Update::InsertPoint { x, y, .. } if !(x.is_finite() && y.is_finite()) => {
+            Some(RejectReason::NonFiniteCoordinate)
+        }
+        _ => None,
+    }
 }
 
 /// Canonical nearest-hit order: squared distance, then id.  Distances are

@@ -32,7 +32,9 @@ use pwe_augtree::range_tree::{range_bruteforce, RtPoint};
 use pwe_geom::bbox::Rect;
 use pwe_geom::interval::{stab_bruteforce, Interval};
 use pwe_geom::point::{GridPoint, Point2};
-use pwe_service::api::{Answer, AnswerBatch, NearestHit, Query, QueryBatch, Update, UpdateBatch};
+use pwe_service::api::{
+    Answer, AnswerBatch, NearestHit, Query, QueryBatch, RejectReason, Update, UpdateBatch,
+};
 use pwe_service::gen::MeshGen;
 use pwe_service::GeometryService;
 
@@ -363,6 +365,84 @@ fn non_finite_nearest_serves_none() {
             .to_vec(),
     });
     assert_eq!(ab.answers, vec![Answer::Nearest(None); 3]);
+}
+
+/// `apply` rejects each malformed element at the boundary with a typed
+/// reason and applies the rest of the batch: answers equal a model that
+/// never saw the rejected elements, and no shard is quarantined (a NaN
+/// point used to panic its shard's rebuild into permanent quarantine).
+#[test]
+fn malformed_updates_are_rejected_and_the_rest_applies() {
+    let iv = |left, right, id| Update::InsertInterval(Interval { left, right, id });
+    let pt = |x, y, id| Update::InsertPoint { x, y, id };
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let bad = [
+        (iv(nan, 1.0, 100), RejectReason::NonFiniteEndpoint),
+        (iv(0.0, nan, 101), RejectReason::NonFiniteEndpoint),
+        (iv(-inf, 1.0, 102), RejectReason::NonFiniteEndpoint),
+        (iv(0.0, inf, 103), RejectReason::NonFiniteEndpoint),
+        (iv(3.0, 1.0, 104), RejectReason::InvertedInterval),
+        (pt(nan, 0.5, 105), RejectReason::NonFiniteCoordinate),
+        (pt(0.5, nan, 106), RejectReason::NonFiniteCoordinate),
+        (pt(inf, 0.5, 107), RejectReason::NonFiniteCoordinate),
+        (pt(0.5, -inf, 108), RejectReason::NonFiniteCoordinate),
+    ];
+    let good: Vec<Update> = (0..40u64)
+        .map(|i| {
+            let v = i as f64 / 40.0;
+            if i % 2 == 0 {
+                iv(v, v + 0.2, i)
+            } else {
+                pt(v, 1.0 - v, i)
+            }
+        })
+        .chain([iv(0.5, 0.5, 40), Update::DeleteInterval(2)])
+        .collect();
+    // Interleave: one bad element after every fourth good one.
+    let mut updates = Vec::new();
+    let mut expected_rejected = Vec::new();
+    let mut bad_iter = bad.iter();
+    for (i, &u) in good.iter().enumerate() {
+        updates.push(u);
+        if i % 4 == 3 {
+            if let Some(&(b, reason)) = bad_iter.next() {
+                expected_rejected.push((updates.len(), reason));
+                updates.push(b);
+            }
+        }
+    }
+    assert_eq!(expected_rejected.len(), bad.len());
+
+    let svc = GeometryService::new(3);
+    let report = svc.apply(&UpdateBatch { updates });
+    assert!(report.published);
+    assert!(report.quarantined.is_empty(), "{report:?}");
+    assert_eq!(report.rejected, expected_rejected);
+
+    let mut model = Model::default();
+    model.apply(&UpdateBatch { updates: good });
+    let queries: Vec<Query> = [0.0, 0.3, 0.5, 0.9, 1.2]
+        .iter()
+        .flat_map(|&v| {
+            [
+                Query::Stab { x: v },
+                Query::Range2D {
+                    rect: Rect::new(v - 0.3, v + 0.3, 0.0, 1.0),
+                },
+                Query::ThreeSided {
+                    x_lo: v - 0.2,
+                    x_hi: v + 0.2,
+                    y_bot: 0.4,
+                },
+                Query::Nearest { x: v, y: v },
+            ]
+        })
+        .collect();
+    let ab = svc.serve(&QueryBatch {
+        queries: queries.clone(),
+    });
+    let want: Vec<Answer> = queries.iter().map(|q| model.expect(q)).collect();
+    assert_eq!(ab.answers, want);
 }
 
 /// Two `apply` calls from the two arms of one `join` break the

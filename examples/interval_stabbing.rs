@@ -17,15 +17,15 @@ fn main() {
 
     let (_, classic) = measure(omega, || IntervalTree::build_classic(&intervals, 2));
     println!("classic construction    : {classic}");
-    let (_, presorted) = measure(omega, || IntervalTree::build_presorted(&intervals, 2));
-    println!("post-sorted construction: {presorted}");
+    let (_, post_sorted) = measure(omega, || IntervalTree::build_parallel(&intervals, 2));
+    println!("post-sorted construction: {post_sorted}");
 
     // Pick α from the update/query ratio as the paper prescribes.
     let ratio = 1.0; // as many updates as queries
     let alpha = optimal_alpha(omega.get(), ratio);
     println!("\noptimal α for {omega}, update:query = {ratio}: α = {alpha}");
 
-    let mut tree = IntervalTree::build_presorted(&intervals, alpha);
+    let mut tree = IntervalTree::build_parallel(&intervals, alpha);
     let updates = random_intervals(10_000, 86_400.0, 600.0, 14);
     let (_, update_cost) = measure(omega, || {
         for (i, s) in updates.iter().enumerate() {

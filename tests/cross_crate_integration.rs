@@ -81,7 +81,7 @@ fn augmented_trees_answer_queries_exactly() {
     let _g = counter_guard();
     // Interval tree.
     let intervals = random_intervals(5_000, 1e5, 50.0, 41);
-    let tree = IntervalTree::build_presorted(&intervals, 8);
+    let tree = IntervalTree::build_parallel(&intervals, 8);
     for &q in &stabbing_queries(200, 1e5, 42) {
         assert_eq!(tree.stab(q), stab_bruteforce(&intervals, q));
     }
@@ -94,7 +94,7 @@ fn augmented_trees_answer_queries_exactly() {
             id: i as u64,
         })
         .collect();
-    let pst = PrioritySearchTree::build_presorted(&ps_points);
+    let pst = PrioritySearchTree::build_parallel(&ps_points);
     for &(lo, hi, y) in &random_three_sided_queries(100, 0.3, 44) {
         assert_eq!(
             pst.query_3sided(lo, hi, y),
@@ -124,7 +124,7 @@ fn write_efficient_constructions_beat_classic_on_omega_weighted_work() {
     // Interval tree.
     let intervals = random_intervals(20_000, 1e6, 100.0, 51);
     let (_, classic) = measure(omega, || IntervalTree::build_classic(&intervals, 2));
-    let (_, ours) = measure(omega, || IntervalTree::build_presorted(&intervals, 2));
+    let (_, ours) = measure(omega, || IntervalTree::build_parallel(&intervals, 2));
     assert!(ours.writes < classic.writes);
     assert!(ours.work() < classic.work());
     // k-d tree.

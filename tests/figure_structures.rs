@@ -60,7 +60,7 @@ fn fig2_p_batched_round() {
 #[test]
 fn fig3_alpha_rebalancing() {
     let initial = random_intervals(256, 1000.0, 10.0, 81);
-    let mut tree = IntervalTree::build_presorted(&initial, 4);
+    let mut tree = IntervalTree::build_parallel(&initial, 4);
     let mut reference = initial.clone();
     for i in 0..2_000u64 {
         let left = 2000.0 + i as f64;

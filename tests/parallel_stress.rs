@@ -249,7 +249,11 @@ fn pool_uses_multiple_threads_when_configured() {
                 guard.push(id);
             }
             drop(guard);
-            std::hint::black_box((0..20_000u64).sum::<u64>());
+            // Opaque elements keep release builds from folding the leaf
+            // work into a closed form (an opaque bound alone does not: the
+            // range sum becomes n(n-1)/2), which would let every join
+            // finish before a worker could steal.
+            std::hint::black_box((0..20_000u64).map(std::hint::black_box).sum::<u64>());
             return;
         }
         pwe_asym::parallel::par_join(|| spread(levels - 1, seen), || spread(levels - 1, seen));

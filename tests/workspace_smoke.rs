@@ -70,7 +70,7 @@ fn augmented_trees_answer() {
     let intervals: Vec<Interval> = (0..100)
         .map(|i| Interval::new(i as f64, i as f64 + 10.0, i as u64))
         .collect();
-    let itree = IntervalTree::build_presorted(&intervals, 4);
+    let itree = IntervalTree::build_parallel(&intervals, 4);
     let hits = itree.stab(50.5);
     assert_eq!(hits.len(), 10, "10 length-10 intervals cover 50.5");
 
@@ -83,7 +83,7 @@ fn augmented_trees_answer() {
             id: i as u64,
         })
         .collect();
-    let ptree = PrioritySearchTree::build_presorted(&ps_points);
+    let ptree = PrioritySearchTree::build_parallel(&ps_points);
     let in_band = ptree.query_3sided(0.0, 1.0, 0.5);
     let expected = ps_points
         .iter()
