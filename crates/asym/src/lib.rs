@@ -12,9 +12,8 @@
 //! substrate that the rest of the workspace is measured against:
 //!
 //! * [`counters`] — global, thread-safe read/write counters.  Algorithms call
-//!   [`record_read`]/[`record_write`] (or use the [`tracked::TrackedVec`]
-//!   wrapper) at exactly the points where the paper charges an access to the
-//!   large asymmetric memory.
+//!   [`record_read`]/[`record_write`] at exactly the points where the paper
+//!   charges an access to the large asymmetric memory.
 //! * [`cost`] — [`cost::Omega`], [`cost::CostReport`] and [`cost::measure`]:
 //!   scoped measurement that turns the raw counters into the
 //!   `work = reads + ω·writes` quantity the paper reports.
@@ -55,13 +54,11 @@ pub mod counters;
 pub mod depth;
 pub mod parallel;
 pub mod smallmem;
-pub mod tracked;
 
 pub use cost::{measure, CostReport, Omega};
 pub use counters::{record_read, record_reads, record_write, record_writes, CounterSnapshot};
 pub use depth::DepthTracker;
 pub use smallmem::{ScratchReport, SmallMem, TaskScratch};
-pub use tracked::TrackedVec;
 
 /// Convenience prelude for algorithm crates.
 pub mod prelude {
@@ -69,5 +66,4 @@ pub mod prelude {
     pub use crate::counters::{record_read, record_reads, record_write, record_writes};
     pub use crate::depth::DepthTracker;
     pub use crate::parallel::{par_for_each, par_join, par_map};
-    pub use crate::tracked::TrackedVec;
 }

@@ -54,48 +54,6 @@ where
     (0..n).into_par_iter().map(f).collect()
 }
 
-/// Parallel map over a slice, collecting results in order.
-#[inline]
-pub fn par_map_slice<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Send + Sync,
-{
-    items.par_iter().map(f).collect()
-}
-
-/// Parallel reduce of `f(i)` over `0..n` with an associative combiner.
-#[inline]
-pub fn par_reduce<T, F, C>(n: usize, identity: T, f: F, combine: C) -> T
-where
-    T: Send + Sync + Clone,
-    F: Fn(usize) -> T + Send + Sync,
-    C: Fn(T, T) -> T + Send + Sync,
-{
-    (0..n)
-        .into_par_iter()
-        .map(f)
-        .reduce(|| identity.clone(), &combine)
-}
-
-/// Chunked parallel for: splits `0..n` into contiguous chunks of at most
-/// `chunk` elements and calls `f(start, end)` for each chunk.  Useful when
-/// per-element task spawning would dominate (tiny loop bodies) or when the
-/// per-chunk scratch is what the small-memory accounting should charge.
-pub fn par_for_chunks<F>(n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize, usize) + Send + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let num_chunks = n.div_ceil(chunk);
-    (0..num_chunks).into_par_iter().for_each(|c| {
-        let start = c * chunk;
-        let end = usize::min(start + chunk, n);
-        f(start, end);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,36 +81,6 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i * i);
         }
-    }
-
-    #[test]
-    fn map_slice_preserves_order() {
-        let input: Vec<u32> = (0..50).collect();
-        let out = par_map_slice(&input, |x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let total = par_reduce(1000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(total, 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn chunks_cover_range_exactly_once() {
-        let hits = AtomicU64::new(0);
-        par_for_chunks(103, 10, |s, e| {
-            assert!(e <= 103);
-            assert!(s < e);
-            hits.fetch_add((e - s) as u64, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 103);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_chunk_rejected() {
-        par_for_chunks(10, 0, |_, _| {});
     }
 
     #[test]

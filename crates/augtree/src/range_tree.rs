@@ -482,6 +482,9 @@ impl RangeTree2D {
     pub fn query_flat(&self, rect: &Rect) -> Vec<u64> {
         let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
         let mut out = Vec::new();
+        if has_nan_bound(rect) {
+            return out;
+        }
         let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
         self.query_rec(self.root, rect, lo, hi, &mut out, scratch);
         record_writes(out.len() as u64);
@@ -493,13 +496,17 @@ impl RangeTree2D {
     /// `out` in walk order (unsorted), charging the recursion frames — one
     /// word each, peak `O(height)` plus the `O(α)` critical-descendant
     /// descent (Corollary 7.1) — against a small-memory ledger via
-    /// `scratch`.  The reported ids are output writes, not scratch.
+    /// `scratch`.  The reported ids are output writes, not scratch.  A rect
+    /// with a NaN bound contains no point and reports nothing.
     pub fn query_into(
         &self,
         rect: &Rect,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
         out: &mut Vec<u64>,
     ) {
+        if has_nan_bound(rect) {
+            return;
+        }
         let start = out.len();
         let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
         match &self.blocked {
@@ -1131,6 +1138,16 @@ fn build_par_rec(
     }
 }
 
+/// Whether a bound of `rect` is NaN.  Such a rect contains no point
+/// ([`Rect::contains`] compares), but the run search orders y by
+/// [`f64_key`], which puts −NaN below −∞ and +NaN above +∞, so the
+/// reporters must not see it.
+fn has_nan_bound(rect: &Rect) -> bool {
+    [rect.x_min, rect.x_max, rect.y_min, rect.y_max]
+        .iter()
+        .any(|b| b.is_nan())
+}
+
 /// Brute-force range query oracle for the tests.
 pub fn range_bruteforce(points: &[RtPoint], rect: &Rect) -> Vec<u64> {
     let mut ids: Vec<u64> = points
@@ -1164,14 +1181,23 @@ mod tests {
     fn queries_match_bruteforce() {
         let _g = crate::counter_guard();
         let points = make_points(1500, 1);
+        // NaN bounds of either sign on each y side (and each x side): no
+        // point is inside, although the run search's key order puts −NaN
+        // below every y and +NaN above.
+        let mut rects = random_query_rects(60, 0.3, 2);
+        for nan in [f64::NAN, -f64::NAN] {
+            let full = Rect::new(-1.0, 2.0, -1.0, 2.0);
+            rects.push(Rect { y_min: nan, ..full });
+            rects.push(Rect { y_max: nan, ..full });
+            rects.push(Rect { x_min: nan, ..full });
+            rects.push(Rect { x_max: nan, ..full });
+        }
         for alpha in [2usize, 4, 16] {
             let tree = RangeTree2D::build(&points, alpha);
-            for rect in &random_query_rects(60, 0.3, 2) {
-                assert_eq!(
-                    tree.query(rect),
-                    range_bruteforce(&points, rect),
-                    "α={alpha}"
-                );
+            for rect in &rects {
+                let expected = range_bruteforce(&points, rect);
+                assert_eq!(tree.query(rect), expected, "α={alpha} {rect:?}");
+                assert_eq!(tree.query_flat(rect), expected, "α={alpha} {rect:?}");
             }
         }
     }

@@ -92,7 +92,6 @@ pub fn build_classic_with_stats<const K: usize>(
         tree.nodes = nodes;
         tree.root = root;
     }
-    tree.rebuild_blocked();
     depth::add(depth::log2_ceil(points.len().max(1)));
     let stats = BuildStats {
         height: tree.height(),
@@ -367,7 +366,6 @@ pub fn build_p_batched<const K: usize>(
     final_depth.commit();
 
     recompute_sizes(&mut tree);
-    tree.rebuild_blocked();
     stats.height = tree.height();
     stats.nodes = tree.node_count();
     stats.scratch = ledger.report();

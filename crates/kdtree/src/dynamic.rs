@@ -361,10 +361,6 @@ impl<const K: usize> DynamicKdTree<K> {
             return id;
         }
 
-        // Structural mutation ahead: drop the derived blocked query cache
-        // (rebuilds re-create it).  Tombstone deletes keep it.
-        self.tree.blocked = None;
-
         // Walk to the leaf, recording the path and updating subtree sizes.
         let point_index = self.tree.points.len() as u32;
         self.tree.points.push(point);
@@ -466,7 +462,6 @@ impl<const K: usize> DynamicKdTree<K> {
     /// Rebuild the subtree rooted at arena node `u` from its live points.
     fn rebuild_subtree(&mut self, u: usize) {
         self.rebuilds += 1;
-        self.tree.blocked = None;
         // Collect the point indices stored under u.
         let mut stack = vec![u];
         let mut point_indices = Vec::new();

@@ -18,7 +18,8 @@
 //! The crate contains:
 //!
 //! * [`tree::KdTree`] — the tree structure shared by all builders, with
-//!   range, nearest-neighbour and (1+ε)-ANN queries;
+//!   range, nearest-neighbour and (1+ε)-ANN queries, each one walk over the
+//!   node arena (no cache-blocked copy: see the [`tree`] module doc);
 //! * [`build`] — the classic `O(n log n)`-write median-split construction
 //!   (the baseline) and the p-batched write-efficient construction; both
 //!   charge their per-task scratch to a small-memory ledger — the classic

@@ -5,11 +5,19 @@
 //! point indices (at most [`KdTree::leaf_capacity`] after construction is
 //! finished).  Both the classic and the p-batched builders produce this same
 //! structure, so query costs are directly comparable between them.
+//!
+//! Every query walks that one arena: range queries through `range_rec`,
+//! nearest neighbour through `nn_rec`.  The tree keeps no derived layout
+//! beside it.  A vEB-blocked copy for range queries was measured and
+//! dropped.  It charged the same reads and writes, and a stream of range
+//! queries alone took 0.84–0.89× the flat walk's time on it.  But the
+//! service's nearest queries (a descent plus a tie-break box) were slower
+//! with it built (the `kd_range` rows of `BENCH_queries.json`, MODEL.md
+//! §5).
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_geom::bbox::BBoxK;
 use pwe_geom::point::PointK;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
 
 /// Sentinel index for "no child".
 pub const EMPTY: usize = usize::MAX;
@@ -64,69 +72,15 @@ pub struct QueryStats {
     pub reported: u64,
 }
 
-/// Leaf bucket slots inlined into the hot payload: the first
-/// `HOT_BUCKET_HEAD` point indices of every leaf ride inside the blocked
-/// node itself, so short leaf scans never leave the block.  Longer buckets
-/// spill their remainder into [`KdBlocked::tails`] — one contiguous array,
-/// not a per-leaf heap `Vec` like the cold arena's `KdNode::bucket`.
-const HOT_BUCKET_HEAD: usize = 4;
-
-/// Hot descent fields of the blocked query cache: interior descents read
-/// only the split plane; leaf scans read the bucket head inline and any
-/// tail from the packed [`KdBlocked::tails`] array — the cold `KdNode`
-/// arena is never touched on the blocked path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KdHot {
-    split_dim: u32,
-    split_val: f64,
-    /// Bucket length (0 for interior nodes).
-    blen: u32,
-    /// Offset of `bucket[HOT_BUCKET_HEAD..]` in [`KdBlocked::tails`]
-    /// (meaningful only when `blen > HOT_BUCKET_HEAD`).
-    tail: u32,
-    /// The first `min(blen, HOT_BUCKET_HEAD)` bucket entries.
-    head: [u32; HOT_BUCKET_HEAD],
-}
-
-/// The blocked query cache: the vEB-style descent tree plus the packed
-/// leaf-bucket tails.  Purely derived (rebuilt by
-/// [`KdTree::rebuild_blocked`], dropped on mutation), identical answers and
-/// ARAM charges to the flat arena walk.
-#[derive(Debug, Clone)]
-pub(crate) struct KdBlocked {
-    tree: BlockedTree<KdHot>,
-    /// Concatenated `bucket[HOT_BUCKET_HEAD..]` of every long-bucket leaf.
-    tails: Vec<u32>,
-}
-
-impl KdBlocked {
-    /// The `k`-th bucket entry of the leaf whose hot payload is `hot`
-    /// (head slots inline, tail slots from the packed array).
-    #[inline]
-    fn bucket_entry(&self, hot: &KdHot, k: usize) -> u32 {
-        debug_assert!(k < hot.blen as usize);
-        if k < HOT_BUCKET_HEAD {
-            hot.head[k]
-        } else {
-            self.tails[hot.tail as usize + (k - HOT_BUCKET_HEAD)]
-        }
-    }
-}
-
-/// A k-d tree over `K`-dimensional points.
+/// A k-d tree over `K`-dimensional points: the node arena, its root and
+/// the point set the leaf buckets index.  Updates (see [`crate::dynamic`])
+/// edit the arena in place; there is no cache to keep in step.
 #[derive(Debug, Clone)]
 pub struct KdTree<const K: usize> {
     pub(crate) points: Vec<PointK<K>>,
     pub(crate) nodes: Vec<KdNode>,
     pub(crate) root: usize,
     pub(crate) leaf_capacity: usize,
-    /// Cache-conscious descent cache over the finished structure, built at
-    /// build-finalize and dropped by any structural mutation (the dynamic
-    /// wrappers in [`crate::dynamic`]).  Purely derived: never part of the
-    /// structure's identity, identical answers and charges on either path
-    /// ([`Self::range_query_flat`] keeps the flat path callable).  Nearest
-    /// neighbour always walks the flat arena.
-    pub(crate) blocked: Option<KdBlocked>,
 }
 
 impl<const K: usize> KdTree<K> {
@@ -138,48 +92,7 @@ impl<const K: usize> KdTree<K> {
             nodes: Vec::new(),
             root: EMPTY,
             leaf_capacity: leaf_capacity.max(1),
-            blocked: None,
         }
-    }
-
-    /// (Re)build the blocked descent cache from the current arena (only the
-    /// reachable nodes are copied, so spliced-over slots are skipped).
-    /// Purely derived, uncharged physical-layout maintenance.
-    pub(crate) fn rebuild_blocked(&mut self) {
-        if self.root == EMPTY {
-            self.blocked = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        // Pack long-bucket tails contiguously (slot order, deterministic);
-        // the heads are copied into the hot payloads below.
-        let mut tails: Vec<u32> = Vec::new();
-        let mut tail_off: Vec<u32> = vec![0; nodes.len()];
-        for (v, node) in nodes.iter().enumerate() {
-            if node.bucket.len() > HOT_BUCKET_HEAD {
-                tail_off[v] = tails.len() as u32;
-                tails.extend_from_slice(&node.bucket[HOT_BUCKET_HEAD..]);
-            }
-        }
-        let tree = BlockedTree::build(
-            nodes.len(),
-            self.root,
-            |v| (nodes[v].left, nodes[v].right),
-            |v| {
-                let node = &nodes[v];
-                let take = node.bucket.len().min(HOT_BUCKET_HEAD);
-                let mut head = [0u32; HOT_BUCKET_HEAD];
-                head[..take].copy_from_slice(&node.bucket[..take]);
-                KdHot {
-                    split_dim: node.split_dim as u32,
-                    split_val: node.split_val,
-                    blen: node.bucket.len() as u32,
-                    tail: tail_off[v],
-                    head,
-                }
-            },
-        );
-        self.blocked = Some(KdBlocked { tree, tails });
     }
 
     /// The number of points the tree indexes.
@@ -223,41 +136,16 @@ impl<const K: usize> KdTree<K> {
         self.range_query_with_stats(query).0
     }
 
-    /// [`Self::range_query`] plus visit statistics.  Descends the blocked
-    /// cache when one is live, the flat arena otherwise — same visit set,
-    /// same ARAM charges either way.
+    /// [`Self::range_query`] plus visit statistics.
     pub fn range_query_with_stats(&self, query: &BBoxK<K>) -> (Vec<u32>, QueryStats) {
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
-        match &self.blocked {
-            Some(kb) if kb.tree.root() != NO_NODE => {
-                let region = BBoxK::everything();
-                self.range_blocked_rec(kb, kb.tree.root(), &region, query, &mut out, &mut stats);
-            }
-            _ => {
-                if self.root != EMPTY {
-                    let region = BBoxK::everything();
-                    self.range_rec(self.root, &region, query, &mut out, &mut stats);
-                }
-            }
+        if self.root != EMPTY {
+            self.range_rec(self.root, &BBoxK::everything(), query, &mut out, &mut stats);
         }
         stats.reported = out.len() as u64;
         record_writes(out.len() as u64);
         (out, stats)
-    }
-
-    /// [`Self::range_query`] forced onto the flat (pre-blocked) descent —
-    /// the live "before" side of the query benchmarks.  Identical answers
-    /// and ARAM charges to the blocked path.
-    pub fn range_query_flat(&self, query: &BBoxK<K>) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        if self.root != EMPTY {
-            let region = BBoxK::everything();
-            self.range_rec(self.root, &region, query, &mut out, &mut stats);
-        }
-        record_writes(out.len() as u64);
-        out
     }
 
     fn range_rec(
@@ -313,68 +201,6 @@ impl<const K: usize> KdTree<K> {
         }
     }
 
-    /// [`Self::range_rec`] over the blocked cache: interior split planes
-    /// are read blocked-locally; leaf buckets come from the inlined head
-    /// plus the packed tails — never the cold arena.  Same pruning, visit
-    /// set and ARAM charges as the flat walk.
-    fn range_blocked_rec(
-        &self,
-        kb: &KdBlocked,
-        v: u32,
-        region: &BBoxK<K>,
-        query: &BBoxK<K>,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        stats.nodes_visited += 1;
-        record_read();
-        let bn = kb.tree.node(v);
-        let hot = bn.payload;
-        if bn.left == NO_NODE && bn.right == NO_NODE {
-            for k in 0..hot.blen as usize {
-                let pi = kb.bucket_entry(&hot, k);
-                stats.points_tested += 1;
-                record_read();
-                if query.contains(&self.points[pi as usize]) {
-                    out.push(pi);
-                }
-            }
-            return;
-        }
-        if query.contains_box(region) {
-            self.collect_blocked(kb, v, out, stats);
-            return;
-        }
-        let (left_region, right_region) =
-            split_region(region, hot.split_dim as usize, hot.split_val);
-        if bn.left != NO_NODE && query.intersects(&left_region) {
-            self.range_blocked_rec(kb, bn.left, &left_region, query, out, stats);
-        }
-        if bn.right != NO_NODE && query.intersects(&right_region) {
-            self.range_blocked_rec(kb, bn.right, &right_region, query, out, stats);
-        }
-    }
-
-    fn collect_blocked(&self, kb: &KdBlocked, v: u32, out: &mut Vec<u32>, stats: &mut QueryStats) {
-        stats.nodes_visited += 1;
-        record_read();
-        let bn = kb.tree.node(v);
-        if bn.left == NO_NODE && bn.right == NO_NODE {
-            let hot = bn.payload;
-            for k in 0..hot.blen as usize {
-                out.push(kb.bucket_entry(&hot, k));
-            }
-            record_reads(u64::from(hot.blen));
-            return;
-        }
-        if bn.left != NO_NODE {
-            self.collect_blocked(kb, bn.left, out, stats);
-        }
-        if bn.right != NO_NODE {
-            self.collect_blocked(kb, bn.right, out, stats);
-        }
-    }
-
     /// Exact nearest neighbour of `q` (index), or `None` for an empty tree.
     pub fn nearest(&self, q: &PointK<K>) -> Option<u32> {
         self.nearest_impl(q, 0.0).map(|(i, _)| i)
@@ -389,11 +215,6 @@ impl<const K: usize> KdTree<K> {
 
     /// Nearest-neighbour search returning the index and the distance, with
     /// the (1+ε) pruning rule (ε = 0 gives the exact answer).
-    ///
-    /// Walks the flat arena even when a blocked cache is live: NN
-    /// backtracking keeps the upper tree cache-resident either way, and a
-    /// blocked walk measured parity within noise (~0.97–1.06×, `kdnn` row
-    /// of `BENCH_queries.json`).
     pub fn nearest_impl(&self, q: &PointK<K>, eps: f64) -> Option<(u32, f64)> {
         if self.root == EMPTY {
             return None;

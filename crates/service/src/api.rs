@@ -22,17 +22,20 @@ pub const GHOST_SITE: u64 = u64::MAX;
 /// a shard, but it quarantines like one).
 pub const MESH_SHARD: u32 = u32::MAX;
 
-/// One element mutation.  Ids name elements for deletion and in answers;
-/// callers keep them unique per element family (interval / point / site).
+/// One element mutation.  Ids name elements for deletion and in answers,
+/// and are unique per element family (interval / point / site): `apply`
+/// rejects an interval or point insert whose id is live in its family
+/// (site ids are insertion ranks).  A batch applies in order, so deleting
+/// an id and inserting it again in one batch is accepted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Update {
     /// Insert a closed interval (stabbing workload).  Rejected unless both
-    /// endpoints are finite and `left ≤ right`.
+    /// endpoints are finite, `left ≤ right` and the id is not live.
     InsertInterval(Interval),
     /// Delete the interval with this id.
     DeleteInterval(u64),
     /// Insert a 2D point (range / 3-sided / nearest-neighbour workloads).
-    /// Rejected unless both coordinates are finite.
+    /// Rejected unless both coordinates are finite and the id is not live.
     InsertPoint {
         /// x coordinate.
         x: f64,
@@ -58,7 +61,9 @@ pub struct UpdateBatch {
 }
 
 /// Why `apply` rejected one update of a batch.  A rejected update is
-/// skipped; the rest of the batch applies.
+/// skipped; the rest of the batch applies.  Value checks come first: an
+/// insert that is both malformed and a duplicate reports the value
+/// reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// An [`Update::InsertInterval`] endpoint is NaN or infinite.
@@ -67,6 +72,10 @@ pub enum RejectReason {
     InvertedInterval,
     /// An [`Update::InsertPoint`] coordinate is NaN or infinite.
     NonFiniteCoordinate,
+    /// An [`Update::InsertInterval`] or [`Update::InsertPoint`] id is
+    /// already live in its family (inserted earlier, possibly in the same
+    /// batch, and not deleted since).
+    DuplicateId,
 }
 
 /// What one `apply` call did: the containment layer's writer-side report.
@@ -100,7 +109,8 @@ pub enum Query {
         /// Query point.
         x: f64,
     },
-    /// Report every point inside the closed rectangle.
+    /// Report every point inside the closed rectangle.  A rectangle with
+    /// a NaN bound contains no point.
     Range2D {
         /// Query rectangle.
         rect: Rect,

@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use rayon::prelude::*;
 
 use pwe_geom::point::GridPoint;
+use pwe_primitives::hash::DetHashSet;
 use pwe_primitives::{faultpoint, racecheck};
 
 use crate::api::{
@@ -96,10 +97,23 @@ pub struct ServiceStats {
     pub quarantine_generations: u64,
 }
 
+/// The ids of one shard's live intervals and points.  Fixed-seed hashing
+/// (`pwe-lint` D1), like the range tree's deleted-id set: it is not
+/// flood-resistant, but an ordered set made a 100k-insert preload
+/// measurably slower.
+#[derive(Debug, Clone, Default)]
+struct LiveIds {
+    intervals: DetHashSet<u64>,
+    points: DetHashSet<u64>,
+}
+
 /// The writer-owned authoritative state.
 struct WriterState {
     /// Per-shard element sets.
     shards: Vec<ShardData>,
+    /// Per-shard live ids, one set per family, so `apply` rejects a
+    /// duplicate insert without scanning the shard's element vectors.
+    live: Vec<LiveIds>,
     /// Shards whose element sets changed since their last successful
     /// rebuild (persists across `apply` calls while quarantined).
     dirty: Vec<bool>,
@@ -182,6 +196,7 @@ impl GeometryService {
             current: Mutex::new(Arc::new(initial)),
             writer: Mutex::new(WriterState {
                 shards: vec![ShardData::default(); shards],
+                live: vec![LiveIds::default(); shards],
                 dirty: vec![false; shards],
                 built: vec![empty_shard; shards],
                 health: vec![ShardHealth::default(); shards],
@@ -257,9 +272,10 @@ impl GeometryService {
         self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Apply an update batch: skip the malformed updates (non-finite
-    /// coordinates, inverted intervals), reporting each in
-    /// [`ApplyReport::rejected`]; mutate the authoritative element sets
+    /// Apply an update batch, in batch order: skip the malformed updates
+    /// (non-finite coordinates, inverted intervals, inserts of an id already
+    /// live in its family — earlier in the same batch included), reporting
+    /// each in [`ApplyReport::rejected`]; mutate the authoritative element sets
     /// with the rest; rebuild the shards due for it (the dirtied ones, plus
     /// quarantined ones whose backoff expired) through the engines — each
     /// rebuild contained by `catch_unwind` — and publish the next
@@ -290,27 +306,35 @@ impl GeometryService {
             match *u {
                 Update::InsertInterval(iv) => {
                     let s = self.router.shard_of(iv.id);
+                    if !w.live[s].intervals.insert(iv.id) {
+                        rejected.push((i, RejectReason::DuplicateId));
+                        continue;
+                    }
                     w.shards[s].intervals.push(iv);
                     w.dirty[s] = true;
                 }
                 Update::DeleteInterval(id) => {
                     let s = self.router.shard_of(id);
-                    let ivs = &mut w.shards[s].intervals;
-                    let before = ivs.len();
-                    ivs.retain(|iv| iv.id != id);
-                    w.dirty[s] |= ivs.len() != before;
+                    if w.live[s].intervals.remove(&id) {
+                        w.shards[s].intervals.retain(|iv| iv.id != id);
+                        w.dirty[s] = true;
+                    }
                 }
                 Update::InsertPoint { x, y, id } => {
                     let s = self.router.shard_of(id);
+                    if !w.live[s].points.insert(id) {
+                        rejected.push((i, RejectReason::DuplicateId));
+                        continue;
+                    }
                     w.shards[s].points.push(crate::gen::rt_point(x, y, id));
                     w.dirty[s] = true;
                 }
                 Update::DeletePoint(id) => {
                     let s = self.router.shard_of(id);
-                    let pts = &mut w.shards[s].points;
-                    let before = pts.len();
-                    pts.retain(|p| p.id != id);
-                    w.dirty[s] |= pts.len() != before;
+                    if w.live[s].points.remove(&id) {
+                        w.shards[s].points.retain(|p| p.id != id);
+                        w.dirty[s] = true;
+                    }
                 }
                 Update::InsertSite(p) => {
                     let rank = w.site_ids.len() as u64;
@@ -549,13 +573,9 @@ fn reject_reason(u: &Update) -> Option<RejectReason> {
     }
 }
 
-/// Canonical nearest-hit order: squared distance, then id.  Distances are
-/// finite (no NaN: coordinates are finite and `dist2` is a sum of squares).
+/// Canonical nearest-hit order: squared distance, then id.
 fn cmp_hits(a: &NearestHit, b: &NearestHit) -> std::cmp::Ordering {
-    a.dist2
-        .partial_cmp(&b.dist2)
-        .expect("finite distances")
-        .then(a.id.cmp(&b.id))
+    a.dist2.total_cmp(&b.dist2).then(a.id.cmp(&b.id))
 }
 
 /// Render a caught panic payload for the quarantine record.

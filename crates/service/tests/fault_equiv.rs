@@ -57,12 +57,21 @@ impl Model {
     fn apply(&mut self, batch: &UpdateBatch) {
         for u in &batch.updates {
             match *u {
-                Update::InsertInterval(iv) => self.intervals.push(iv),
+                // An insert whose id is live in its family is rejected.
+                Update::InsertInterval(iv) => {
+                    if self.intervals.iter().all(|live| live.id != iv.id) {
+                        self.intervals.push(iv);
+                    }
+                }
                 Update::DeleteInterval(id) => self.intervals.retain(|iv| iv.id != id),
-                Update::InsertPoint { x, y, id } => self.points.push(RtPoint {
-                    point: Point2::xy(x, y),
-                    id,
-                }),
+                Update::InsertPoint { x, y, id } => {
+                    if self.points.iter().all(|live| live.id != id) {
+                        self.points.push(RtPoint {
+                            point: Point2::xy(x, y),
+                            id,
+                        });
+                    }
+                }
                 Update::DeletePoint(id) => self.points.retain(|p| p.id != id),
                 Update::InsertSite(p) => self.sites.push(p),
             }

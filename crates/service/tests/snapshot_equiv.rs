@@ -50,12 +50,21 @@ impl Model {
     fn apply(&mut self, batch: &UpdateBatch) {
         for u in &batch.updates {
             match *u {
-                Update::InsertInterval(iv) => self.intervals.push(iv),
+                // An insert whose id is live in its family is rejected.
+                Update::InsertInterval(iv) => {
+                    if self.intervals.iter().all(|live| live.id != iv.id) {
+                        self.intervals.push(iv);
+                    }
+                }
                 Update::DeleteInterval(id) => self.intervals.retain(|iv| iv.id != id),
-                Update::InsertPoint { x, y, id } => self.points.push(RtPoint {
-                    point: Point2::xy(x, y),
-                    id,
-                }),
+                Update::InsertPoint { x, y, id } => {
+                    if self.points.iter().all(|live| live.id != id) {
+                        self.points.push(RtPoint {
+                            point: Point2::xy(x, y),
+                            id,
+                        });
+                    }
+                }
                 Update::DeletePoint(id) => self.points.retain(|p| p.id != id),
                 Update::InsertSite(p) => self.sites.push(p),
             }
@@ -371,6 +380,9 @@ fn non_finite_nearest_serves_none() {
 /// reason and applies the rest of the batch: answers equal a model that
 /// never saw the rejected elements, and no shard is quarantined (a NaN
 /// point used to panic its shard's rebuild into permanent quarantine).
+/// Duplicate ids are rejected whether the live id came earlier in the same
+/// batch or in an earlier one; delete-then-reinsert is accepted.  Range
+/// queries with a NaN bound answer no ids.
 #[test]
 fn malformed_updates_are_rejected_and_the_rest_applies() {
     let iv = |left, right, id| Update::InsertInterval(Interval { left, right, id });
@@ -386,6 +398,10 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
         (pt(0.5, nan, 106), RejectReason::NonFiniteCoordinate),
         (pt(inf, 0.5, 107), RejectReason::NonFiniteCoordinate),
         (pt(0.5, -inf, 108), RejectReason::NonFiniteCoordinate),
+        // Point 1 is live: inserted earlier in this batch.
+        (pt(0.2, 0.2, 1), RejectReason::DuplicateId),
+        // Interval 2 is live again: deleted, then reinserted, in this batch.
+        (iv(0.3, 0.4, 2), RejectReason::DuplicateId),
     ];
     let good: Vec<Update> = (0..40u64)
         .map(|i| {
@@ -396,7 +412,13 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
                 pt(v, 1.0 - v, i)
             }
         })
-        .chain([iv(0.5, 0.5, 40), Update::DeleteInterval(2)])
+        .chain([
+            iv(0.5, 0.5, 40),
+            Update::DeleteInterval(2),
+            iv(0.25, 0.6, 2),
+            // Ids are unique per family: point 40 beside interval 40.
+            pt(0.9, 0.1, 40),
+        ])
         .collect();
     // Interleave: one bad element after every fourth good one.
     let mut updates = Vec::new();
@@ -419,8 +441,37 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
     assert!(report.quarantined.is_empty(), "{report:?}");
     assert_eq!(report.rejected, expected_rejected);
 
+    // Ids live from the first batch are duplicates in the next one, until
+    // deleted.
+    let second = vec![
+        pt(0.1, 0.1, 5),
+        iv(0.0, 1.0, 40),
+        Update::DeletePoint(5),
+        pt(0.6, 0.3, 5),
+    ];
+    let report = svc.apply(&UpdateBatch {
+        updates: second.clone(),
+    });
+    assert_eq!(
+        report.rejected,
+        vec![
+            (0, RejectReason::DuplicateId),
+            (1, RejectReason::DuplicateId)
+        ]
+    );
+
     let mut model = Model::default();
     model.apply(&UpdateBatch { updates: good });
+    model.apply(&UpdateBatch { updates: second });
+    let full = Rect::new(-1.0, 2.0, -1.0, 2.0);
+    let nan_rects = [nan, -nan].into_iter().flat_map(|b| {
+        [
+            Rect { y_min: b, ..full },
+            Rect { y_max: b, ..full },
+            Rect { x_min: b, ..full },
+            Rect { x_max: b, ..full },
+        ]
+    });
     let queries: Vec<Query> = [0.0, 0.3, 0.5, 0.9, 1.2]
         .iter()
         .flat_map(|&v| {
@@ -437,6 +488,7 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
                 Query::Nearest { x: v, y: v },
             ]
         })
+        .chain(nan_rects.map(|rect| Query::Range2D { rect }))
         .collect();
     let ab = svc.serve(&QueryBatch {
         queries: queries.clone(),
