@@ -2,15 +2,38 @@
 //!
 //! The paper reports, for every algorithm, the expected *work* in the
 //! Asymmetric NP model together with the number of *writes* and the *depth*.
-//! [`measure`] runs a closure, diffs the global counters and the depth
-//! tracker around it, and returns a [`CostReport`] holding exactly those
-//! quantities (plus wall-clock time, which the paper does not use but which
-//! the benchmark harness prints for context).
+//! [`measure`] runs a closure under a **cost frame** and returns a
+//! [`CostReport`] holding exactly those quantities (plus wall-clock time,
+//! which the paper does not use but which the benchmark harness prints for
+//! context).
+//!
+//! ## Frames
+//!
+//! The model defines a computation's cost over its own fork-join DAG, so a
+//! frame is charged by the thread that opened it and by every task forked
+//! under it — and by nothing else, whatever other threads charge at the
+//! same moment:
+//!
+//! * Charges are plain adds into thread-local pending counts (reads and
+//!   writes in [`crate::counters`], depth in [`crate::depth`]).  `measure`
+//!   saves the thread's pending counts, runs the closure from zero, and
+//!   restores them afterwards plus the frame's total, so nested measures
+//!   sum into the enclosing one.
+//! * Each `rayon::join` captures the forking thread's frame.  An arm that
+//!   runs on the forking thread (not stolen, sequential mode, one-thread
+//!   pool) charges that thread's pending counts as usual.  A stolen arm runs
+//!   on the thief from zero pending counts and flushes them into the
+//!   captured frame with one atomic add each, inside the job before its
+//!   latch is set, so the joiner — and through it `measure` — sees them.
+//!   The thief's own pending counts and span scope are restored around it.
 
+use std::any::Any;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
-use crate::counters::CounterSnapshot;
-use crate::depth;
+use crate::{counters, depth};
 
 /// The read/write asymmetry parameter `ω ≥ 1`.
 ///
@@ -106,17 +129,6 @@ impl CostReport {
         self.omega = omega;
         self
     }
-
-    /// Combine two reports from sequentially-composed regions.
-    pub fn combine_sequential(&self, other: &CostReport) -> CostReport {
-        CostReport {
-            reads: self.reads + other.reads,
-            writes: self.writes + other.writes,
-            omega: self.omega,
-            depth: self.depth + other.depth,
-            elapsed: self.elapsed + other.elapsed,
-        }
-    }
 }
 
 impl std::fmt::Display for CostReport {
@@ -134,42 +146,149 @@ impl std::fmt::Display for CostReport {
     }
 }
 
+/// Reads, writes and depth charged by one task.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    reads: u64,
+    writes: u64,
+    depth: u64,
+}
+
+impl Counts {
+    /// Replace this thread's pending counts with `self`, returning the old.
+    fn swap_pending(self) -> Counts {
+        let (reads, writes) = counters::swap_pending(self.reads, self.writes);
+        let depth = depth::swap_pending(self.depth);
+        Counts {
+            reads,
+            writes,
+            depth,
+        }
+    }
+
+    /// Add `self` to this thread's pending counts.
+    fn charge(self) {
+        let pending = Counts::default().swap_pending();
+        (pending + self).swap_pending();
+    }
+}
+
+impl std::ops::Add for Counts {
+    type Output = Counts;
+
+    fn add(self, other: Counts) -> Counts {
+        Counts {
+            reads: self.reads + other.reads,
+            writes: self.writes + other.writes,
+            depth: self.depth + other.depth,
+        }
+    }
+}
+
+/// The counts that stolen tasks flushed into one `measure` scope.
+///
+/// `Relaxed` suffices: a stolen task flushes before its job's `SeqCst`
+/// latch store, the joiner's `SeqCst` latch load orders the flush before
+/// the `join` returns, and every `join` under `f` returns before `measure`
+/// reads the frame.
+#[derive(Debug, Default)]
+struct Frame {
+    reads: AtomicU64,
+    writes: AtomicU64,
+    depth: AtomicU64,
+}
+
+impl Frame {
+    fn add(&self, counts: Counts) {
+        self.reads.fetch_add(counts.reads, Ordering::Relaxed);
+        self.writes.fetch_add(counts.writes, Ordering::Relaxed);
+        self.depth.fetch_add(counts.depth, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> Counts {
+        Counts {
+            reads: self.reads.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+            depth: self.depth.load(Ordering::Relaxed),
+        }
+    }
+}
+
+thread_local! {
+    /// The frame that tasks running on this thread charge.
+    static FRAME: RefCell<Option<Arc<Frame>>> = const { RefCell::new(None) };
+}
+
+/// Run `f` as a task of `frame`: from zero pending counts, with the
+/// thread's pending counts and frame restored afterwards (also on unwind).
+/// Returns what `f` charged on this thread.
+fn run_in_frame<R>(frame: Option<Arc<Frame>>, f: impl FnOnce() -> R) -> (R, Counts) {
+    struct Restore(Counts, Option<Arc<Frame>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            self.0.swap_pending();
+            FRAME.set(self.1.take());
+        }
+    }
+    let restore = Restore(Counts::default().swap_pending(), FRAME.replace(frame));
+    let value = f();
+    let own = Counts::default().swap_pending();
+    drop(restore);
+    (value, own)
+}
+
+fn fork() -> rayon::TaskContext {
+    FRAME.with_borrow(|frame| frame.clone().map(|f| f as Arc<dyn Any + Send + Sync>))
+}
+
+fn run_stolen(context: &rayon::TaskContext, body: &mut dyn FnMut()) {
+    let frame = context.clone().and_then(|c| c.downcast::<Frame>().ok());
+    let ((), counts) = run_in_frame(frame.clone(), body);
+    if let Some(frame) = frame {
+        frame.add(counts);
+    }
+}
+
+/// Register the frame hooks with the pool.  Idempotent; [`measure`] and
+/// [`depth::with_span`] call it before running anything that could fork.
+pub(crate) fn install_task_hooks() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        rayon::set_task_hooks(rayon::TaskHooks { fork, run_stolen });
+    });
+}
+
 /// Run `f`, measuring the reads, writes, depth and wall-clock time it records.
 ///
-/// Measurement nests: an outer `measure` around several inner ones sees the
-/// sum of their counts.  Because the counters are global, concurrent
-/// *unrelated* instrumented work would also be counted — the benchmark
-/// harness runs one measured region at a time.
+/// The counts are exactly those charged by `f`'s own fork-join tasks (see
+/// the module docs), whatever else runs concurrently.  Measurement nests: an
+/// outer `measure` around several inner ones sees the sum of their counts.
 pub fn measure<T>(omega: Omega, f: impl FnOnce() -> T) -> (T, CostReport) {
-    let before = CounterSnapshot::now();
-    let depth_before = depth::accumulated();
+    install_task_hooks();
+    let frame = Arc::new(Frame::default());
     let start = Instant::now();
-    let value = f();
+    let (value, own) = run_in_frame(Some(frame.clone()), f);
     let elapsed = start.elapsed();
-    let after = CounterSnapshot::now();
-    let depth_after = depth::accumulated();
-    let (reads, writes) = after.since(&before);
+    let total = own + frame.counts();
+    total.charge();
     (
         value,
         CostReport {
-            reads,
-            writes,
+            reads: total.reads,
+            writes: total.writes,
             omega,
-            depth: depth_after.saturating_sub(depth_before),
+            depth: total.depth,
             elapsed,
         },
     )
-}
-
-/// Measure a region with the default ω.
-pub fn measure_default<T>(f: impl FnOnce() -> T) -> (T, CostReport) {
-    measure(Omega::default(), f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counters::{record_reads, record_writes};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     #[test]
     fn work_weights_writes_by_omega() {
@@ -191,9 +310,85 @@ mod tests {
             record_reads(10);
             record_writes(4);
         });
-        assert!(report.reads >= 10);
-        assert!(report.writes >= 4);
-        assert!(report.work() >= 10 + 3 * 4);
+        assert_eq!((report.reads, report.writes), (10, 4));
+        assert_eq!(report.work(), 10 + 3 * 4);
+    }
+
+    #[test]
+    fn nested_measures_sum_into_the_outer_frame() {
+        let (inner, outer) = measure(Omega::default(), || {
+            record_reads(1);
+            let ((), inner) = measure(Omega::default(), || {
+                record_reads(10);
+                record_writes(2);
+                depth::add(3);
+            });
+            record_writes(1);
+            inner
+        });
+        assert_eq!((inner.reads, inner.writes, inner.depth), (10, 2, 3));
+        assert_eq!((outer.reads, outer.writes, outer.depth), (11, 3, 3));
+    }
+
+    #[test]
+    fn concurrent_measures_each_report_only_their_own_charges() {
+        let barrier = Barrier::new(2);
+        let reports: Vec<CostReport> = std::thread::scope(|s| {
+            let workers: Vec<_> = (1..=2u64)
+                .map(|k| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        measure(Omega::default(), || {
+                            for _ in 0..1000 {
+                                barrier.wait();
+                                record_reads(k);
+                                record_writes(k);
+                                depth::add(k);
+                            }
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (k, report) in (1..=2u64).zip(reports) {
+            assert_eq!(
+                (report.reads, report.writes, report.depth),
+                (1000 * k, 1000 * k, 1000 * k)
+            );
+        }
+    }
+
+    #[test]
+    fn a_stolen_join_arm_charges_the_forkers_frame() {
+        if rayon::current_num_threads() < 2 {
+            return; // one-thread pool: nothing is ever stolen
+        }
+        let forker = std::thread::current().id();
+        let started = AtomicBool::new(false);
+        let (thief, report) = measure(Omega::default(), || {
+            let ((), thief) = rayon::join(
+                // Arm `a` waits until arm `b` has started, which forces `b`
+                // onto another thread.
+                || {
+                    while !started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                },
+                || {
+                    started.store(true, Ordering::Release);
+                    record_reads(7);
+                    record_writes(3);
+                    depth::add(2);
+                    std::thread::current().id()
+                },
+            );
+            record_reads(1);
+            thief
+        });
+        assert_ne!(thief, forker, "arm b was not stolen");
+        assert_eq!((report.reads, report.writes, report.depth), (8, 3, 2));
     }
 
     #[test]
@@ -208,28 +403,6 @@ mod tests {
         assert!((report.writes_per_element(100) - 2.0).abs() < 1e-12);
         assert!((report.reads_per_element(100) - 10.0).abs() < 1e-12);
         assert_eq!(report.writes_per_element(0), 0.0);
-    }
-
-    #[test]
-    fn combine_sequential_adds_costs() {
-        let a = CostReport {
-            reads: 10,
-            writes: 1,
-            omega: Omega::new(2),
-            depth: 5,
-            elapsed: Duration::from_millis(1),
-        };
-        let b = CostReport {
-            reads: 20,
-            writes: 2,
-            omega: Omega::new(2),
-            depth: 7,
-            elapsed: Duration::from_millis(2),
-        };
-        let c = a.combine_sequential(&b);
-        assert_eq!(c.reads, 30);
-        assert_eq!(c.writes, 3);
-        assert_eq!(c.depth, 12);
     }
 
     #[test]

@@ -16,75 +16,53 @@
 //!   chain of dependent operations (for instance tracing a point down the
 //!   history DAG), contributes the **maximum** chain length over the items.
 //!   [`RoundDepth`] collects that maximum with a relaxed atomic and commits
-//!   it to the global accumulator.  When the per-item chain lengths are a
+//!   it with one [`add`].  When the per-item chain lengths are a
 //!   deterministic function of the round's data (as in the engine), the max
 //!   can equivalently be folded while the round's results are consumed —
 //!   either way the committed value is schedule-independent.
 //!
-//! The global accumulator is diffed by [`crate::cost::measure`], so a
-//! [`crate::cost::CostReport`] carries the total depth of the measured region
-//! (sequential composition adds; parallel composition inside a round takes a
-//! max through `RoundDepth`).
+//! [`add`] is a plain add into this thread's pending depth, which belongs to
+//! the task running on the thread exactly like the pending read/write counts
+//! of [`crate::counters`]: [`crate::cost::measure`] collects it into its
+//! frame, so a [`crate::cost::CostReport`] carries the total depth of the
+//! measured region (sequential composition adds; parallel composition
+//! inside a round takes a max through `RoundDepth`).
 //!
 //! ## Composing over `join`
 //!
 //! Fork-join branches compose in parallel: the span of
 //! `par_join(a, b)` is `max(span(a), span(b))`, not their sum.  Since the
 //! pool behind `rayon` executes branches on real threads, summing every
-//! branch's [`add`] calls into the global accumulator would report the
-//! *work-series* depth, not the span.  Instead, [`with_span`] runs a closure
-//! under a thread-local **span scope** that captures the closure's `add`
-//! calls; `pwe_asym::parallel::par_join` measures both branches this way and
-//! commits only the maximum to the enclosing scope (or, at the outermost
-//! join, to the global accumulator).  Scopes follow the task, not the
-//! thread: the pool's task hooks ([`install_rayon_task_hooks`]) save and
-//! clear the executing thread's scope around every stolen job, so depth
-//! recorded by an unrelated task a waiting thread picks up never leaks into
-//! the waiter's span.
+//! branch's [`add`] calls would report the *work-series* depth, not the
+//! span.  Instead, [`with_span`] runs a closure under a fresh span scope
+//! that captures the closure's `add` calls; `pwe_asym::parallel::par_join`
+//! measures both branches this way and adds only the maximum to the
+//! enclosing scope.  Scopes follow the task, not the thread: a stolen arm
+//! runs with its own pending depth (the cost frame's task hooks, see
+//! [`crate::cost`]), so depth recorded by an unrelated task a waiting thread
+//! picks up never leaks into the waiter's span.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Once;
-
-static ACCUMULATED: AtomicU64 = AtomicU64::new(0);
-
-/// Thread-local span scope: when active, [`add`] accumulates here instead of
-/// in the global counter, and the enclosing `par_join` decides how the value
-/// composes (max with the sibling branch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SpanScope {
-    active: bool,
-    acc: u64,
-}
-
-const NO_SCOPE: SpanScope = SpanScope {
-    active: false,
-    acc: 0,
-};
 
 thread_local! {
-    static SCOPE: Cell<SpanScope> = const { Cell::new(NO_SCOPE) };
+    /// This thread's pending depth: the innermost span scope's running sum.
+    static PENDING: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Add `d` units of depth for a sequentially-composed phase or round.
 ///
 /// Inside a [`with_span`] scope (i.e. inside a `par_join` branch) the units
-/// accumulate into that branch's span; otherwise they go straight to the
-/// global accumulator.
+/// accumulate into that branch's span; otherwise into the enclosing
+/// [`crate::cost::measure`] frame.
 #[inline]
 pub fn add(d: u64) {
-    if d == 0 {
-        return;
-    }
-    let scope = SCOPE.get();
-    if scope.active {
-        SCOPE.set(SpanScope {
-            active: true,
-            acc: scope.acc + d,
-        });
-    } else {
-        ACCUMULATED.fetch_add(d, Ordering::Relaxed);
-    }
+    PENDING.set(PENDING.get() + d);
+}
+
+/// Replace this thread's pending depth, returning the old value.
+pub(crate) fn swap_pending(d: u64) -> u64 {
+    PENDING.replace(d)
 }
 
 /// Run `f` under a fresh span scope, returning its result and the depth it
@@ -92,56 +70,18 @@ pub fn add(d: u64) {
 /// is **not** committed anywhere — the caller composes it (a `par_join`
 /// takes the max over its two branches) and re-[`add`]s the combined value.
 pub fn with_span<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    struct Restore(SpanScope);
+    crate::cost::install_task_hooks();
+    struct Restore(u64);
     impl Drop for Restore {
         fn drop(&mut self) {
-            SCOPE.set(self.0);
+            PENDING.set(self.0);
         }
     }
-    let restore = Restore(SCOPE.replace(SpanScope {
-        active: true,
-        acc: 0,
-    }));
+    let restore = Restore(PENDING.replace(0));
     let result = f();
-    let span = SCOPE.get().acc;
+    let span = PENDING.get();
     drop(restore);
     (result, span)
-}
-
-fn pack_scope(scope: SpanScope) -> u64 {
-    (scope.acc << 1) | u64::from(scope.active)
-}
-
-fn unpack_scope(token: u64) -> SpanScope {
-    SpanScope {
-        active: token & 1 == 1,
-        acc: token >> 1,
-    }
-}
-
-fn task_enter() -> u64 {
-    pack_scope(SCOPE.replace(NO_SCOPE))
-}
-
-fn task_exit(token: u64) {
-    SCOPE.set(unpack_scope(token));
-}
-
-/// Register the span-scope save/restore pair as the pool's task hooks, so a
-/// thread that steals an unrelated job while waiting inside a `join` does
-/// not mix that job's depth into its own active span.  Idempotent; called by
-/// `pwe_asym::parallel` before its first fork.
-pub fn install_rayon_task_hooks() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        rayon::set_task_hooks(task_enter, task_exit);
-    });
-}
-
-/// Total depth accumulated since process start.
-#[inline]
-pub fn accumulated() -> u64 {
-    ACCUMULATED.load(Ordering::Relaxed)
 }
 
 /// Ceiling of `log2(n)` for `n ≥ 1`; `0` for `n ∈ {0, 1}`.
@@ -187,8 +127,8 @@ impl RoundDepth {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Commit the round's depth (its maximum chain) to the global accumulator
-    /// and return it.
+    /// Commit the round's depth (its maximum chain) with [`add`] and return
+    /// it.
     pub fn commit(self) -> u64 {
         let d = self.max.load(Ordering::Relaxed);
         add(d);
@@ -196,8 +136,8 @@ impl RoundDepth {
     }
 }
 
-/// A named depth tracker for algorithms that want to both contribute to the
-/// global accumulator and report a per-phase breakdown.
+/// A named depth tracker for algorithms that want to both [`add`] their
+/// depth and report a per-phase breakdown.
 #[derive(Debug, Default, Clone)]
 pub struct DepthTracker {
     phases: Vec<(String, u64)>,
@@ -209,8 +149,8 @@ impl DepthTracker {
         DepthTracker { phases: Vec::new() }
     }
 
-    /// Record a phase: adds `depth` to the global accumulator and remembers
-    /// the per-phase value under `name`.
+    /// Record a phase: [`add`]s `depth` and remembers the per-phase value
+    /// under `name`.
     pub fn phase(&mut self, name: &str, depth: u64) {
         add(depth);
         self.phases.push((name.to_string(), depth));
@@ -230,6 +170,7 @@ impl DepthTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{measure, Omega};
 
     #[test]
     fn log2_ceil_matches_reference() {
@@ -250,39 +191,39 @@ mod tests {
         round.record(10);
         round.record(7);
         assert_eq!(round.current_max(), 10);
-        let before = accumulated();
-        let committed = round.commit();
+        let (committed, report) = measure(Omega::default(), || round.commit());
         assert_eq!(committed, 10);
-        assert!(accumulated() >= before + 10);
+        assert_eq!(report.depth, 10);
     }
 
     #[test]
     fn tracker_accumulates_phases() {
         let mut t = DepthTracker::new();
-        let before = accumulated();
-        t.phase("sort", 12);
-        t.phase("build", 8);
+        let ((), report) = measure(Omega::default(), || {
+            t.phase("sort", 12);
+            t.phase("build", 8);
+        });
         assert_eq!(t.total(), 20);
         assert_eq!(t.phases().len(), 2);
-        assert!(accumulated() >= before + 20);
+        assert_eq!(report.depth, 20);
     }
 
     #[test]
     fn add_zero_is_noop_but_monotone() {
-        let before = accumulated();
-        add(0);
-        assert!(accumulated() >= before);
+        let ((), report) = measure(Omega::default(), || add(0));
+        assert_eq!(report.depth, 0);
     }
 
     #[test]
     fn span_scope_captures_adds_without_touching_global() {
-        // `with_span` isolates this thread's adds, so the assertion is exact
-        // even with other tests recording depth concurrently.
-        let ((), span) = with_span(|| {
-            add(3);
-            add(4);
+        let (((), span), report) = measure(Omega::default(), || {
+            with_span(|| {
+                add(3);
+                add(4);
+            })
         });
         assert_eq!(span, 7);
+        assert_eq!(report.depth, 0, "a returned span is not committed");
     }
 
     #[test]
@@ -296,22 +237,5 @@ mod tests {
             add(inner);
         });
         assert_eq!(outer, 11);
-    }
-
-    #[test]
-    fn scope_pack_roundtrip() {
-        for scope in [
-            NO_SCOPE,
-            SpanScope {
-                active: true,
-                acc: 0,
-            },
-            SpanScope {
-                active: true,
-                acc: 123_456,
-            },
-        ] {
-            assert_eq!(unpack_scope(pack_scope(scope)), scope);
-        }
     }
 }

@@ -11,12 +11,14 @@
 //! read/write/work/depth bounds of its theorems.  This crate is therefore the
 //! substrate that the rest of the workspace is measured against:
 //!
-//! * [`counters`] — global, thread-safe read/write counters.  Algorithms call
+//! * [`counters`] — read/write counters.  Algorithms call
 //!   [`record_read`]/[`record_write`] at exactly the points where the paper
-//!   charges an access to the large asymmetric memory.
+//!   charges an access to the large asymmetric memory; each charge is a
+//!   plain thread-local add.
 //! * [`cost`] — [`cost::Omega`], [`cost::CostReport`] and [`cost::measure`]:
-//!   scoped measurement that turns the raw counters into the
-//!   `work = reads + ω·writes` quantity the paper reports.
+//!   scoped measurement that turns the charges of one computation's own
+//!   fork-join tasks into the `work = reads + ω·writes` quantity the paper
+//!   reports.
 //! * [`depth`] — structural span (critical-path) accounting for fork-join
 //!   computations, so the depth columns of the paper's theorems can be
 //!   measured rather than merely cited.
@@ -56,7 +58,7 @@ pub mod parallel;
 pub mod smallmem;
 
 pub use cost::{measure, CostReport, Omega};
-pub use counters::{record_read, record_reads, record_write, record_writes, CounterSnapshot};
+pub use counters::{record_read, record_reads, record_write, record_writes};
 pub use depth::DepthTracker;
 pub use smallmem::{ScratchReport, SmallMem, TaskScratch};
 

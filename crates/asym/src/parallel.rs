@@ -29,7 +29,6 @@ where
     RA: Send,
     RB: Send,
 {
-    depth::install_rayon_task_hooks();
     let ((ra, span_a), (rb, span_b)) = rayon::join(|| depth::with_span(a), || depth::with_span(b));
     depth::add(span_a.max(span_b));
     (ra, rb)

@@ -69,7 +69,6 @@ mod tests {
 
     #[test]
     fn leaves_are_always_critical() {
-        let _g = crate::counter_guard();
         for alpha in [2usize, 4, 8, 16, 40] {
             assert!(
                 is_critical_weight(2, alpha),
@@ -80,7 +79,6 @@ mod tests {
 
     #[test]
     fn windows_match_the_definition_for_alpha_2() {
-        let _g = crate::counter_guard();
         // α = 2: windows are [2,2], [4,6], [8,14], [16,30], ...
         let critical: Vec<usize> = (1..40).filter(|&w| is_critical_weight(w, 2)).collect();
         assert_eq!(
@@ -94,7 +92,6 @@ mod tests {
 
     #[test]
     fn larger_alpha_marks_fewer_weights() {
-        let _g = crate::counter_guard();
         let count = |alpha: usize| {
             (2..10_000)
                 .filter(|&w| is_critical_weight(w, alpha))
@@ -106,7 +103,6 @@ mod tests {
 
     #[test]
     fn window_structure_for_alpha_4() {
-        let _g = crate::counter_guard();
         // α = 4: [2,2], [8,14], [32,62], [128,254], ...
         assert!(is_critical_weight(8, 4));
         assert!(is_critical_weight(14, 4));

@@ -49,15 +49,6 @@ pub mod range_tree;
 /// critical-descendant descent of Corollary 7.1).
 pub const QUERY_SCRATCH_C: u64 = 6;
 
-/// Serializes this crate's unit tests that run instrumented code: cost
-/// assertions difference the process-global ARAM counters, so no other
-/// test may charge them concurrently.
-#[cfg(test)]
-pub(crate) fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
-    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 pub use alpha::{is_critical_weight, optimal_alpha};
 pub use engine::{
     build_scratch_budget, range_build_scratch_budget, AugBuildStats, BUILD_SCRATCH_C,

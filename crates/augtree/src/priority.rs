@@ -647,7 +647,6 @@ mod tests {
 
     #[test]
     fn both_constructions_answer_identically() {
-        let _g = crate::counter_guard();
         let points = make_points(600, 1);
         let classic = PrioritySearchTree::build_classic(&points);
         let parallel = PrioritySearchTree::build_parallel(&points);
@@ -660,7 +659,6 @@ mod tests {
 
     #[test]
     fn duplicate_x_inputs_stay_balanced() {
-        let _g = crate::counter_guard();
         // Regression: the value-based partition used to send every x-equal
         // point right, so an all-equal-x input recursed once per point
         // (unbounded one-sided recursion).  The index split keeps the
@@ -695,7 +693,6 @@ mod tests {
 
     #[test]
     fn parallel_build_writes_fewer_than_classic() {
-        let _g = crate::counter_guard();
         let points = make_points(20_000, 3);
         let (_, classic) = measure(Omega::symmetric(), || {
             PrioritySearchTree::build_classic(&points)
@@ -713,7 +710,6 @@ mod tests {
 
     #[test]
     fn parallel_build_is_balanced_and_supports_updates() {
-        let _g = crate::counter_guard();
         let points = make_points(4096, 5);
         let (tree, stats) = PrioritySearchTree::build_parallel_with_stats(&points);
         assert!(stats.scratch.within_budget(), "{:?}", stats.scratch);
@@ -739,7 +735,6 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let _g = crate::counter_guard();
         let empty = PrioritySearchTree::build_parallel(&[]);
         assert!(empty.is_empty());
         assert!(empty.query_3sided(0.0, 1.0, 0.0).is_empty());
@@ -756,7 +751,6 @@ mod tests {
 
     #[test]
     fn dynamic_updates_match_bruteforce() {
-        let _g = crate::counter_guard();
         let initial = make_points(300, 7);
         let mut tree = PrioritySearchTree::build_parallel(&initial);
         let mut reference = initial.clone();
@@ -800,7 +794,6 @@ mod tests {
             width in 0.05f64..0.5,
             y in 0.0f64..1.0,
         ) {
-            let _g = crate::counter_guard();
             let points = make_points(n, seed);
             let tree = PrioritySearchTree::build_parallel(&points);
             prop_assert_eq!(

@@ -1179,7 +1179,6 @@ mod tests {
 
     #[test]
     fn queries_match_bruteforce() {
-        let _g = crate::counter_guard();
         let points = make_points(1500, 1);
         // NaN bounds of either sign on each y side (and each x side): no
         // point is inside, although the run search's key order puts −NaN
@@ -1204,7 +1203,6 @@ mod tests {
 
     #[test]
     fn classic_and_engine_answer_identically() {
-        let _g = crate::counter_guard();
         let points = make_points(1200, 13);
         for alpha in [2usize, 8, 64] {
             let classic = RangeTree2D::build_classic(&points, alpha);
@@ -1230,7 +1228,6 @@ mod tests {
 
     #[test]
     fn engine_writes_fewer_than_classic_textbook() {
-        let _g = crate::counter_guard();
         let points = make_points(20_000, 17);
         let (_, classic) = measure(Omega::symmetric(), || {
             RangeTree2D::build_classic(&points, 2)
@@ -1247,7 +1244,6 @@ mod tests {
 
     #[test]
     fn aug_arena_is_exactly_sized_and_packed() {
-        let _g = crate::counter_guard();
         let points = make_points(3000, 19);
         for alpha in [2usize, 8, 64] {
             let (tree, stats) = RangeTree2D::build_with_stats(&points, alpha);
@@ -1271,7 +1267,6 @@ mod tests {
 
     #[test]
     fn overflow_runs_repack_and_stay_queryable() {
-        let _g = crate::counter_guard();
         // Enough inserts into one engine-built tree to overflow several
         // nodes' √(main) overflow caps (forcing arena → owned repacks)
         // without doubling the root's weight (which would rebuild instead).
@@ -1300,7 +1295,6 @@ mod tests {
 
     #[test]
     fn alpha_labeling_reduces_augmentation() {
-        let _g = crate::counter_guard();
         let points = make_points(8000, 3);
         let dense = RangeTree2D::build(&points, 2);
         let sparse = RangeTree2D::build(&points, 16);
@@ -1315,7 +1309,6 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let _g = crate::counter_guard();
         let empty = RangeTree2D::build(&[], 4);
         assert!(empty.is_empty());
         assert!(empty.query(&Rect::new(0.0, 1.0, 0.0, 1.0)).is_empty());
@@ -1331,7 +1324,6 @@ mod tests {
 
     #[test]
     fn dynamic_insert_and_delete_match_bruteforce() {
-        let _g = crate::counter_guard();
         let initial = make_points(400, 5);
         let mut tree = RangeTree2D::build(&initial, 4);
         let mut reference = initial.clone();
@@ -1360,7 +1352,6 @@ mod tests {
 
     #[test]
     fn skewed_insertions_trigger_rebuilds_and_stay_correct() {
-        let _g = crate::counter_guard();
         let mut tree = RangeTree2D::build(&make_points(64, 9), 2);
         let mut reference = tree.collect_live();
         for i in 0..400u64 {
@@ -1379,7 +1370,6 @@ mod tests {
 
     #[test]
     fn larger_alpha_touches_fewer_critical_nodes_per_insert() {
-        let _g = crate::counter_guard();
         let points = make_points(4000, 11);
         let mut dense = RangeTree2D::build(&points, 2);
         let mut sparse = RangeTree2D::build(&points, 16);
@@ -1411,7 +1401,6 @@ mod tests {
             y in 0.0f64..0.7,
             w in 0.05f64..0.3,
         ) {
-            let _g = crate::counter_guard();
             let points = make_points(n, seed);
             let tree = RangeTree2D::build(&points, alpha);
             let rect = Rect::new(x, x + w, y, y + w);

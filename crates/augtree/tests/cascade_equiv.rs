@@ -9,14 +9,9 @@
 //!
 //! `layout_equiv.rs` checks the same property on a fixed grid together with
 //! the rebuild; this proptest draws the sizes, seeds and insert counts.
-//!
-//! Counter checks difference the process-global ARAM counters, so tests
-//! serialize on [`counter_guard`].
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
-use pwe_asym::CounterSnapshot;
+use pwe_asym::cost::{measure, Omega};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_geom::bbox::Rect;
 use pwe_geom::generators::uniform_points_2d;
@@ -24,22 +19,10 @@ use pwe_geom::point::Point2;
 
 const ALPHAS: [usize; 3] = [2, 8, 64];
 
-static COUNTER_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn counter_guard() -> MutexGuard<'static, ()> {
-    COUNTER_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs `f`, returning its answer plus the (reads, writes) it charged.
 fn charged<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = CounterSnapshot::now();
-    let out = f();
-    let after = CounterSnapshot::now();
-    let (r, w) = after.since(&before);
-    (out, r, w)
+    let (out, cost) = measure(Omega::default(), f);
+    (out, cost.reads, cost.writes)
 }
 
 fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
@@ -65,7 +48,6 @@ proptest! {
         seed in 0u64..50,
         extra in 1usize..20,
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         for alpha in ALPHAS {
             let mut tree = RangeTree2D::build(&pts, alpha);

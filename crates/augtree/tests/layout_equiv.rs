@@ -5,17 +5,10 @@
 //! machine addresses, never the cost model).  The walk-order reporters
 //! behind the sorted queries are checked the same way, and one query per
 //! walk has its exact charges pinned.
-//!
-//! The counter checks difference the process-global ARAM counters around
-//! each side, so every test that asserts counter equality serializes on
-//! [`counter_guard`] and runs both sides back-to-back on this thread with
-//! no other charged work in flight.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
+use pwe_asym::cost::{measure, Omega};
 use pwe_asym::smallmem::TaskScratch;
-use pwe_asym::CounterSnapshot;
 use pwe_augtree::interval::IntervalTree;
 use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
@@ -25,23 +18,10 @@ use pwe_geom::point::Point2;
 
 const ALPHAS: [usize; 3] = [2, 8, 64];
 
-/// Serializes counter-differencing tests (the ARAM counters are global).
-static COUNTER_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn counter_guard() -> MutexGuard<'static, ()> {
-    COUNTER_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs `f`, returning its answer plus the (reads, writes) it charged.
 fn charged<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = CounterSnapshot::now();
-    let out = f();
-    let after = CounterSnapshot::now();
-    let (r, w) = after.since(&before);
-    (out, r, w)
+    let (out, cost) = measure(Omega::default(), f);
+    (out, cost.reads, cost.writes)
 }
 
 fn rt_points(n: usize, seed: u64) -> Vec<RtPoint> {
@@ -100,7 +80,6 @@ fn query_all(parts: usize, query: impl Fn(usize) -> Vec<u64>) -> (Vec<u64>, u64,
 /// proptests below now also cover.
 #[test]
 fn range_tree_blocked_matches_flat_on_bench_rects() {
-    let _g = counter_guard();
     for &n in &[257usize, 1024, 4096] {
         for &alpha in &ALPHAS {
             let pts = rt_points(n, 0x5eed + n as u64);
@@ -148,7 +127,6 @@ proptest! {
         seed in 0u64..50,
         queries in proptest::collection::vec(0.0f64..1000.0, 1..16),
     ) {
-        let _g = counter_guard();
         let intervals = random_intervals(n, 1000.0, 40.0, seed);
         for alpha in ALPHAS {
             let tree = IntervalTree::build_parallel(&intervals, alpha);
@@ -169,7 +147,6 @@ proptest! {
         seed in 0u64..50,
         rects in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.5, 0.0f64..0.5), 1..12),
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         for alpha in ALPHAS {
             let tree = RangeTree2D::build(&pts, alpha);
@@ -191,7 +168,6 @@ proptest! {
         seed in 0u64..50,
         del_stride in 2usize..6,
     ) {
-        let _g = counter_guard();
         let pts = rt_points(n, seed);
         let mut tree = RangeTree2D::build(&pts, 8);
         for id in (0..n as u64).step_by(del_stride) {
@@ -229,7 +205,6 @@ proptest! {
     ) {
         const PARTS: usize = 3;
         let part = |id: u64| id as usize % PARTS;
-        let _g = counter_guard();
         let intervals = random_intervals(n, 1000.0, 40.0, seed);
         let pts = rt_points(n, seed);
         let mut its: Vec<IntervalTree> = (0..PARTS)
@@ -299,7 +274,6 @@ proptest! {
 /// once when a scan ends, and that must not move the totals.
 #[test]
 fn walk_charges_are_pinned() {
-    let _g = counter_guard();
     let it = IntervalTree::build_parallel(&random_intervals(2000, 1000.0, 40.0, 7), 8);
     let pts = rt_points(2000, 7);
     let rt = RangeTree2D::build(&pts, 8);
@@ -332,7 +306,6 @@ fn walk_charges_are_pinned() {
 /// live points restores the blocked cache and blocked/flat equivalence.
 #[test]
 fn insert_drops_cache_and_rebuild_restores_equivalence() {
-    let _g = counter_guard();
     let full = Rect {
         x_min: 0.0,
         x_max: 1.0,

@@ -59,7 +59,6 @@ mod tests {
 
     #[test]
     fn baseline_produces_a_delaunay_triangulation() {
-        let _g = crate::counter_guard();
         let points = uniform_grid_points(400, 1 << 14, 1);
         let (mesh, stats) = triangulate_baseline_with_stats(&points, 42);
         assert_eq!(stats.insert.inserted, 400);
@@ -72,7 +71,6 @@ mod tests {
 
     #[test]
     fn baseline_handles_clustered_and_circular_inputs() {
-        let _g = crate::counter_guard();
         for points in [
             clustered_grid_points(250, 5, 1 << 14, 3),
             circle_grid_points(250, 1 << 14, 3),
@@ -85,7 +83,6 @@ mod tests {
 
     #[test]
     fn baseline_tiny_inputs() {
-        let _g = crate::counter_guard();
         for n in [0usize, 1, 2, 3, 4] {
             let points = uniform_grid_points(n, 1 << 10, 7);
             let mesh = triangulate_baseline(&points, 1);
@@ -97,7 +94,6 @@ mod tests {
 
     #[test]
     fn round_count_is_logarithmic_ish() {
-        let _g = crate::counter_guard();
         let points = uniform_grid_points(2000, 1 << 16, 5);
         let (_, stats) = triangulate_baseline_with_stats(&points, 11);
         // The dependence DAG has O(log n) depth whp; allow a generous bound.

@@ -26,6 +26,14 @@ use pwe_trace::dag::TraceDag;
 /// Sentinel for "no triangle".
 pub const NO_TRI: u32 = u32::MAX;
 
+/// Largest `|x|`, `|y|` of an input point [`TriMesh::new`] can hold.  For
+/// inputs within `±L` the span is at most `2L`, so `r = 8·span + 16 ≤
+/// 16L + 16` and every ghost corner lies within `L + 2r ≤ 33L + 32` of the
+/// origin; `L = 2^20` keeps that inside
+/// [`GRID_LIMIT`](pwe_geom::point::GRID_LIMIT).
+pub const SITE_LIMIT: i64 = 1 << 20;
+const _: () = assert!(33 * SITE_LIMIT + 32 <= pwe_geom::point::GRID_LIMIT);
+
 /// A triangle of the mesh / a vertex of the history DAG.
 #[derive(Debug, Clone)]
 pub struct Triangle {
@@ -98,8 +106,8 @@ impl TriMesh {
         let span = (max_x - min_x).max(max_y - min_y).max(1);
         let cx = (min_x + max_x) / 2;
         let cy = (min_y + max_y) / 2;
-        // A triangle ~16 spans across, comfortably inside the exact-arithmetic
-        // grid bound for inputs generated within ±2^21.
+        // A triangle ~16 spans across, inside the exact-arithmetic grid
+        // bound for inputs within ±SITE_LIMIT.
         let r = 8 * span + 16;
         let ghosts = [
             GridPoint::new(cx - 2 * r, cy - r),
@@ -419,8 +427,24 @@ mod tests {
     }
 
     #[test]
+    fn ghost_corners_of_inputs_within_site_limit_stay_on_the_grid() {
+        use pwe_geom::point::GRID_LIMIT;
+        let l = SITE_LIMIT;
+        for input in [
+            vec![GridPoint::new(-l, -l), GridPoint::new(l, l)],
+            vec![GridPoint::new(l, l)],
+            vec![GridPoint::new(-l, l)],
+            vec![GridPoint::new(l, -l)],
+        ] {
+            let mesh = TriMesh::new(&input);
+            for g in &mesh.points[..3] {
+                assert!(g.x.abs() <= GRID_LIMIT && g.y.abs() <= GRID_LIMIT, "{g:?}");
+            }
+        }
+    }
+
+    #[test]
     fn new_mesh_has_one_alive_bounding_triangle() {
-        let _g = crate::counter_guard();
         let mesh = TriMesh::new(&square_points());
         assert_eq!(mesh.alive_count(), 1);
         assert_eq!(mesh.num_input_points(), 4);
@@ -434,7 +458,6 @@ mod tests {
 
     #[test]
     fn create_and_kill_maintain_adjacency() {
-        let _g = crate::counter_guard();
         let mut mesh = TriMesh::new(&square_points());
         // Insert the first input point (index 3) into the bounding triangle
         // manually: replace triangle 0 by three triangles around point 3.
@@ -468,7 +491,6 @@ mod tests {
 
     #[test]
     fn locate_conflicts_on_history() {
-        let _g = crate::counter_guard();
         let mut mesh = TriMesh::new(&square_points());
         let root = mesh.triangle(0).v;
         mesh.kill_triangle(0);
@@ -489,7 +511,6 @@ mod tests {
 
     #[test]
     fn reserve_and_commit_matches_create_triangle() {
-        let _g = crate::counter_guard();
         let mut mesh = TriMesh::new(&square_points());
         let root = mesh.triangle(0).v;
         mesh.kill_triangle(0);

@@ -112,7 +112,6 @@ mod tests {
 
     #[test]
     fn write_efficient_produces_a_delaunay_triangulation() {
-        let _g = crate::counter_guard();
         let points = uniform_grid_points(600, 1 << 15, 2);
         let (mesh, stats) = triangulate_write_efficient_with_stats(&points, 17);
         assert_eq!(stats.insert.inserted, 600);
@@ -124,7 +123,6 @@ mod tests {
 
     #[test]
     fn matches_baseline_triangulation_on_same_order() {
-        let _g = crate::counter_guard();
         // Same seed → same random order → the two algorithms triangulate the
         // same point sequence; with points in general position the Delaunay
         // triangulation is unique, so the real triangles must coincide.
@@ -136,7 +134,6 @@ mod tests {
 
     #[test]
     fn handles_adversarial_distributions() {
-        let _g = crate::counter_guard();
         for points in [
             clustered_grid_points(300, 6, 1 << 14, 6),
             circle_grid_points(300, 1 << 14, 6),
@@ -149,7 +146,6 @@ mod tests {
 
     #[test]
     fn tiny_inputs() {
-        let _g = crate::counter_guard();
         for n in [0usize, 1, 2, 3, 5] {
             let points = uniform_grid_points(n, 1 << 10, 9);
             let mesh = triangulate_write_efficient(&points, 3);
@@ -160,7 +156,6 @@ mod tests {
 
     #[test]
     fn writes_scale_better_than_baseline() {
-        let _g = crate::counter_guard();
         let points = uniform_grid_points(4000, 1 << 18, 8);
         let (_, base) = measure(Omega::symmetric(), || triangulate_baseline(&points, 5));
         let (_, we) = measure(Omega::symmetric(), || {

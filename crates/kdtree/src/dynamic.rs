@@ -567,7 +567,6 @@ mod tests {
 
     #[test]
     fn forest_insert_and_query() {
-        let _g = crate::counter_guard();
         let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
         let pts = uniform_points_2d(500, 1);
         let mut reference = Vec::new();
@@ -591,7 +590,6 @@ mod tests {
 
     #[test]
     fn forest_deletions_and_rebuild() {
-        let _g = crate::counter_guard();
         let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::Classic);
         let pts = uniform_points_2d(300, 2);
         let ids: Vec<u64> = pts.iter().map(|p| forest.insert(*p)).collect();
@@ -618,7 +616,6 @@ mod tests {
 
     #[test]
     fn forest_nearest_skips_deleted() {
-        let _g = crate::counter_guard();
         let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
         let a = forest.insert(PointK::new([0.1, 0.1]));
         let _b = forest.insert(PointK::new([0.9, 0.9]));
@@ -631,7 +628,6 @@ mod tests {
 
     #[test]
     fn single_tree_insert_query_delete() {
-        let _g = crate::counter_guard();
         let initial = uniform_points_2d(400, 3);
         let mut dyn_tree = DynamicKdTree::new(&initial, 0.65, RebuildStrategy::PBatched);
         let mut reference: Vec<(u64, PointK<2>)> =
@@ -676,7 +672,6 @@ mod tests {
 
     #[test]
     fn single_tree_from_empty() {
-        let _g = crate::counter_guard();
         let mut dyn_tree = DynamicKdTree::<2>::new(&[], 0.7, RebuildStrategy::Classic);
         assert!(dyn_tree.is_empty());
         let id = dyn_tree.insert(PointK::new([0.5, 0.5]));
@@ -689,7 +684,6 @@ mod tests {
 
     #[test]
     fn single_tree_nearest_after_deletion() {
-        let _g = crate::counter_guard();
         let pts = uniform_points_2d(100, 9);
         let mut dyn_tree = DynamicKdTree::new(&pts, 0.7, RebuildStrategy::Classic);
         let q = PointK::new([0.5, 0.5]);

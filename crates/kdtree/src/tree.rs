@@ -374,7 +374,6 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        let _g = crate::counter_guard();
         let t: KdTree<2> = KdTree::empty(Vec::new(), 8);
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);

@@ -55,12 +55,3 @@ pub use priority_write::{PriorityCell, PriorityIndex};
 pub use scan::{exclusive_scan, inclusive_scan, par_exclusive_scan};
 pub use search::{branchless_partition_point, branchless_search_by_key, run_partition_point};
 pub use semisort::semisort_by_key;
-
-/// Serializes this crate's unit tests that run instrumented code: cost
-/// assertions difference the process-global ARAM counters, so no other
-/// test may charge them concurrently.
-#[cfg(test)]
-pub(crate) fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
-    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

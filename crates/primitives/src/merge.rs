@@ -137,7 +137,6 @@ mod tests {
 
     #[test]
     fn merge_small() {
-        let _g = crate::counter_guard();
         let a = vec![1u64, 3, 5, 7];
         let b = vec![2u64, 4, 6, 8, 10];
         assert_eq!(merge_sorted(&a, &b, &lt), vec![1, 2, 3, 4, 5, 6, 7, 8, 10]);
@@ -145,7 +144,6 @@ mod tests {
 
     #[test]
     fn merge_with_empty_sides() {
-        let _g = crate::counter_guard();
         let a: Vec<u64> = vec![];
         let b = vec![1u64, 2, 3];
         assert_eq!(merge_sorted(&a, &b, &lt), vec![1, 2, 3]);
@@ -155,7 +153,6 @@ mod tests {
 
     #[test]
     fn merge_large_parallel_path() {
-        let _g = crate::counter_guard();
         let a: Vec<u64> = (0..20_000).map(|x| x * 2).collect();
         let b: Vec<u64> = (0..20_000).map(|x| x * 2 + 1).collect();
         let merged = merge_sorted(&a, &b, &lt);
@@ -166,7 +163,6 @@ mod tests {
 
     #[test]
     fn merge_unbalanced_sizes() {
-        let _g = crate::counter_guard();
         let a: Vec<u64> = (0..30_000).collect();
         let b: Vec<u64> = vec![5, 500, 29_999, 60_000];
         let merged = merge_sorted(&a, &b, &lt);
@@ -178,7 +174,6 @@ mod tests {
 
     #[test]
     fn merge_is_stable() {
-        let _g = crate::counter_guard();
         // Pairs (key, origin); ties by key must keep all `a`-origin items first.
         let a: Vec<(u64, u8)> = (0..10_000).map(|i| (i / 10, 0)).collect();
         let b: Vec<(u64, u8)> = (0..10_000).map(|i| (i / 10, 1)).collect();
@@ -194,7 +189,6 @@ mod tests {
 
     #[test]
     fn bounds() {
-        let _g = crate::counter_guard();
         let v = vec![1u64, 3, 3, 3, 7, 9];
         assert_eq!(lower_bound(&v, &3, &lt), 1);
         assert_eq!(upper_bound(&v, &3, &lt), 4);
@@ -209,7 +203,6 @@ mod tests {
             mut a in proptest::collection::vec(0u64..10_000, 0..2000),
             mut b in proptest::collection::vec(0u64..10_000, 0..2000),
         ) {
-            let _g = crate::counter_guard();
             a.sort_unstable();
             b.sort_unstable();
             let merged = merge_sorted(&a, &b, &lt);
@@ -222,7 +215,6 @@ mod tests {
 
         #[test]
         fn prop_bounds_bracket_equal_range(mut v in proptest::collection::vec(0u64..100, 0..300), x in 0u64..100) {
-            let _g = crate::counter_guard();
             v.sort_unstable();
             let lo = lower_bound(&v, &x, &lt);
             let hi = upper_bound(&v, &x, &lt);

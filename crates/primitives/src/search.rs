@@ -114,7 +114,6 @@ mod tests {
 
     #[test]
     fn matches_std_partition_point_exhaustively() {
-        let _g = crate::counter_guard();
         for n in 0..70usize {
             let v: Vec<u64> = (0..n as u64).map(|i| 2 * i).collect();
             for probe in 0..=(2 * n as u64 + 1) {
@@ -130,7 +129,6 @@ mod tests {
 
     #[test]
     fn matches_on_duplicate_heavy_runs() {
-        let _g = crate::counter_guard();
         let v = vec![1u64, 1, 1, 3, 3, 5, 5, 5, 5, 9];
         for probe in 0..11 {
             assert_eq!(
@@ -146,7 +144,6 @@ mod tests {
 
     #[test]
     fn search_by_key_matches_std() {
-        let _g = crate::counter_guard();
         let v: Vec<(u64, u64)> = (0..50).map(|i| (3 * i, i)).collect();
         for k in 0..160u64 {
             assert_eq!(
@@ -163,13 +160,10 @@ mod tests {
 
     #[test]
     fn charged_variant_counts_logarithmic_reads() {
-        let _g = crate::counter_guard();
-        use pwe_asym::counters::CounterSnapshot;
+        use pwe_asym::cost::{measure, Omega};
         let v: Vec<u64> = (0..1024).collect();
-        let before = CounterSnapshot::now();
-        let i = run_partition_point(&v, |&x| x < 700);
-        let (reads, _) = CounterSnapshot::now().since(&before);
+        let (i, cost) = measure(Omega::default(), || run_partition_point(&v, |&x| x < 700));
         assert_eq!(i, 700);
-        assert_eq!(reads, 10, "log2(1024) probe charge");
+        assert_eq!(cost.reads, 10, "log2(1024) probe charge");
     }
 }

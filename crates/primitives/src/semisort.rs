@@ -224,11 +224,10 @@ where
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use pwe_asym::counters::CounterSnapshot;
+    use pwe_asym::cost::{measure, Omega};
 
     #[test]
     fn groups_partition_the_input() {
-        let _g = crate::counter_guard();
         let items: Vec<u32> = (0..100).collect();
         let groups = semisort_by_key(&items, |x| x % 7);
         let mut all: Vec<u32> = groups.iter().flat_map(|g| g.items.clone()).collect();
@@ -244,14 +243,12 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let _g = crate::counter_guard();
         let groups: Vec<Group<u32, u32>> = semisort_by_key(&[], |x| *x);
         assert!(groups.is_empty());
     }
 
     #[test]
     fn single_key() {
-        let _g = crate::counter_guard();
         let items = vec![5u32; 50];
         let groups = semisort_by_key(&items, |_| 0u8);
         assert_eq!(groups.len(), 1);
@@ -260,7 +257,6 @@ mod tests {
 
     #[test]
     fn groups_ordered_by_first_occurrence() {
-        let _g = crate::counter_guard();
         // Keys appear in a scrambled pattern; the output groups must come
         // back ordered by each key's first appearance in the input.
         let items: Vec<u32> = (0..5000).map(|i| (i * i + 3 * i + 7) % 41).collect();
@@ -277,7 +273,6 @@ mod tests {
 
     #[test]
     fn indices_variant_matches() {
-        let _g = crate::counter_guard();
         let keys = vec!['a', 'b', 'a', 'c', 'b', 'a'];
         let mut grouped = semisort_indices_by_key(&keys);
         grouped.sort_by_key(|(k, _)| *k);
@@ -289,7 +284,6 @@ mod tests {
 
     #[test]
     fn count_by_key_matches_group_sizes() {
-        let _g = crate::counter_guard();
         let items: Vec<u32> = (0..1000).collect();
         let counts = count_by_key(&items, |x| x % 13);
         let groups = semisort_by_key(&items, |x| x % 13);
@@ -300,13 +294,10 @@ mod tests {
 
     #[test]
     fn writes_are_linear_not_nlogn() {
-        let _g = crate::counter_guard();
         let n = 50_000usize;
         let items: Vec<u64> = (0..n as u64).collect();
-        let before = CounterSnapshot::now();
-        let _ = semisort_by_key(&items, |x| x % 97);
-        let after = CounterSnapshot::now();
-        let (_, writes) = after.since(&before);
+        let (_, cost) = measure(Omega::default(), || semisort_by_key(&items, |x| x % 97));
+        let writes = cost.writes;
         // Linear writes with a small constant; n log n would be ~16n here.
         // The two-pass scatter records 3 writes per record plus the Θ(n/4)
         // bucket scan, ≈ 3.3n in total.
@@ -319,7 +310,6 @@ mod tests {
     proptest! {
         #[test]
         fn prop_semisort_partitions(v in proptest::collection::vec(0u16..64, 0..400)) {
-            let _g = crate::counter_guard();
             let groups = semisort_by_key(&v, |x| *x / 8);
             let mut all: Vec<u16> = groups.iter().flat_map(|g| g.items.clone()).collect();
             all.sort_unstable();

@@ -76,6 +76,13 @@ pub enum RejectReason {
     /// already live in its family (inserted earlier, possibly in the same
     /// batch, and not deleted since).
     DuplicateId,
+    /// An [`Update::InsertSite`] coordinate lies outside
+    /// `±`[`pwe_delaunay::mesh::SITE_LIMIT`], where the mesh's bounding
+    /// triangle would leave the exact-arithmetic grid.
+    SiteOutOfRange,
+    /// An [`Update::InsertSite`] at coordinates already live (sites are
+    /// never deleted, so: inserted earlier, possibly in the same batch).
+    DuplicateSite,
 }
 
 /// What one `apply` call did: the containment layer's writer-side report.

@@ -306,11 +306,6 @@ impl MeshGen {
         orient2d_det(a, b, q) >= 0 && orient2d_det(b, c, q) >= 0 && orient2d_det(c, a, q) >= 0
     }
 
-    /// Number of (non-ghost) sites triangulated.
-    pub fn site_count(&self) -> usize {
-        self.mesh.num_input_points()
-    }
-
     /// Fingerprint of the alive triangulation in external site ids.
     pub fn digest(&self) -> u64 {
         let mut d = fnv_fold(FNV_OFFSET, self.mesh.alive_count() as u64);

@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use rayon::prelude::*;
 
+use pwe_delaunay::mesh::SITE_LIMIT;
 use pwe_geom::point::GridPoint;
 use pwe_primitives::hash::DetHashSet;
 use pwe_primitives::{faultpoint, racecheck};
@@ -114,6 +115,8 @@ struct WriterState {
     /// Per-shard live ids, one set per family, so `apply` rejects a
     /// duplicate insert without scanning the shard's element vectors.
     live: Vec<LiveIds>,
+    /// The coordinates in `sites`, so `apply` rejects a duplicate site.
+    live_sites: DetHashSet<GridPoint>,
     /// Shards whose element sets changed since their last successful
     /// rebuild (persists across `apply` calls while quarantined).
     dirty: Vec<bool>,
@@ -197,6 +200,7 @@ impl GeometryService {
             writer: Mutex::new(WriterState {
                 shards: vec![ShardData::default(); shards],
                 live: vec![LiveIds::default(); shards],
+                live_sites: DetHashSet::default(),
                 dirty: vec![false; shards],
                 built: vec![empty_shard; shards],
                 health: vec![ShardHealth::default(); shards],
@@ -273,8 +277,9 @@ impl GeometryService {
     }
 
     /// Apply an update batch, in batch order: skip the malformed updates
-    /// (non-finite coordinates, inverted intervals, inserts of an id already
-    /// live in its family — earlier in the same batch included), reporting
+    /// (non-finite coordinates, inverted intervals, sites outside
+    /// `±SITE_LIMIT`, inserts of an id already live in its family or of a
+    /// site already live — earlier in the same batch included), reporting
     /// each in [`ApplyReport::rejected`]; mutate the authoritative element sets
     /// with the rest; rebuild the shards due for it (the dirtied ones, plus
     /// quarantined ones whose backoff expired) through the engines — each
@@ -337,6 +342,10 @@ impl GeometryService {
                     }
                 }
                 Update::InsertSite(p) => {
+                    if !w.live_sites.insert(p) {
+                        rejected.push((i, RejectReason::DuplicateSite));
+                        continue;
+                    }
                     let rank = w.site_ids.len() as u64;
                     w.sites.push(p);
                     w.site_ids.push(rank);
@@ -558,8 +567,9 @@ fn sorted_ids(per_shard: Vec<Vec<u64>>) -> Answer {
 
 /// The reason `apply` rejects `u`, if it does: interval endpoints must be
 /// finite with `left ≤ right` (the interval engine's skeleton relies on
-/// it), point coordinates finite.  Deletions and sites (integer grid
-/// points) always pass.
+/// it), point coordinates finite, site coordinates within `±SITE_LIMIT`
+/// (the mesh's bounding triangle must stay on the exact-arithmetic grid).
+/// Deletions always pass.
 fn reject_reason(u: &Update) -> Option<RejectReason> {
     match *u {
         Update::InsertInterval(iv) if !(iv.left.is_finite() && iv.right.is_finite()) => {
@@ -569,8 +579,15 @@ fn reject_reason(u: &Update) -> Option<RejectReason> {
         Update::InsertPoint { x, y, .. } if !(x.is_finite() && y.is_finite()) => {
             Some(RejectReason::NonFiniteCoordinate)
         }
+        Update::InsertSite(p) if !(site_in_range(p.x) && site_in_range(p.y)) => {
+            Some(RejectReason::SiteOutOfRange)
+        }
         _ => None,
     }
+}
+
+fn site_in_range(c: i64) -> bool {
+    (-SITE_LIMIT..=SITE_LIMIT).contains(&c)
 }
 
 /// Canonical nearest-hit order: squared distance, then id.

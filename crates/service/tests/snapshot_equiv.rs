@@ -29,6 +29,7 @@ use rand::{Rng, SeedableRng};
 
 use pwe_augtree::priority::{three_sided_bruteforce, PsPoint};
 use pwe_augtree::range_tree::{range_bruteforce, RtPoint};
+use pwe_delaunay::mesh::SITE_LIMIT;
 use pwe_geom::bbox::Rect;
 use pwe_geom::interval::{stab_bruteforce, Interval};
 use pwe_geom::point::{GridPoint, Point2};
@@ -66,7 +67,12 @@ impl Model {
                     }
                 }
                 Update::DeletePoint(id) => self.points.retain(|p| p.id != id),
-                Update::InsertSite(p) => self.sites.push(p),
+                // A site whose coordinates are live is rejected.
+                Update::InsertSite(p) => {
+                    if !self.sites.contains(&p) {
+                        self.sites.push(p);
+                    }
+                }
             }
         }
     }
@@ -387,6 +393,7 @@ fn non_finite_nearest_serves_none() {
 fn malformed_updates_are_rejected_and_the_rest_applies() {
     let iv = |left, right, id| Update::InsertInterval(Interval { left, right, id });
     let pt = |x, y, id| Update::InsertPoint { x, y, id };
+    let site = |x, y| Update::InsertSite(GridPoint { x, y });
     let (nan, inf) = (f64::NAN, f64::INFINITY);
     let bad = [
         (iv(nan, 1.0, 100), RejectReason::NonFiniteEndpoint),
@@ -402,6 +409,12 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
         (pt(0.2, 0.2, 1), RejectReason::DuplicateId),
         // Interval 2 is live again: deleted, then reinserted, in this batch.
         (iv(0.3, 0.4, 2), RejectReason::DuplicateId),
+        // Its ghost corners would leave the exact-arithmetic grid.
+        (site(1 << 23, 5), RejectReason::SiteOutOfRange),
+        (site(0, -SITE_LIMIT - 1), RejectReason::SiteOutOfRange),
+        (site(i64::MIN, 0), RejectReason::SiteOutOfRange),
+        // Site (4, 4) is live: inserted earlier in this batch.
+        (site(4, 4), RejectReason::DuplicateSite),
     ];
     let good: Vec<Update> = (0..40u64)
         .map(|i| {
@@ -418,9 +431,14 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
             iv(0.25, 0.6, 2),
             // Ids are unique per family: point 40 beside interval 40.
             pt(0.9, 0.1, 40),
+            site(0, 0),
+            site(SITE_LIMIT, -SITE_LIMIT),
+            site(4, 4),
+            site(-SITE_LIMIT, 7),
         ])
         .collect();
-    // Interleave: one bad element after every fourth good one.
+    // Interleave: one bad element after every fourth good one, the rest
+    // after the last.
     let mut updates = Vec::new();
     let mut expected_rejected = Vec::new();
     let mut bad_iter = bad.iter();
@@ -433,7 +451,10 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
             }
         }
     }
-    assert_eq!(expected_rejected.len(), bad.len());
+    for &(b, reason) in bad_iter {
+        expected_rejected.push((updates.len(), reason));
+        updates.push(b);
+    }
 
     let svc = GeometryService::new(3);
     let report = svc.apply(&UpdateBatch { updates });
@@ -486,6 +507,10 @@ fn malformed_updates_are_rejected_and_the_rest_applies() {
                     y_bot: 0.4,
                 },
                 Query::Nearest { x: v, y: v },
+                Query::Locate {
+                    x: (v * 1000.0) as i64,
+                    y: 3,
+                },
             ]
         })
         .chain(nan_rects.map(|rect| Query::Range2D { rect }))

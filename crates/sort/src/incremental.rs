@@ -265,7 +265,6 @@ mod tests {
 
     #[test]
     fn sorts_small_inputs() {
-        let _g = crate::counter_guard();
         for n in [0usize, 1, 2, 3, 10, 100, 1000] {
             let keys: Vec<u64> = (0..n as u64).rev().collect();
             let sorted = incremental_sort(&keys, 7);
@@ -275,7 +274,6 @@ mod tests {
 
     #[test]
     fn sorts_with_duplicates() {
-        let _g = crate::counter_guard();
         let keys = vec![5u32, 1, 5, 5, 2, 2, 9, 0, 0, 5];
         let mut expected = keys.clone();
         expected.sort_unstable();
@@ -284,7 +282,6 @@ mod tests {
 
     #[test]
     fn sorts_random_large_input_and_reports_stats() {
-        let _g = crate::counter_guard();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let keys: Vec<u64> = (0..50_000).map(|_| rng.gen()).collect();
         let (sorted, stats) = incremental_sort_with_stats(&keys, 5);
@@ -306,7 +303,6 @@ mod tests {
 
     #[test]
     fn bounded_bucket_variant_sorts_and_defers_little() {
-        let _g = crate::counter_guard();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let keys: Vec<u64> = (0..30_000).map(|_| rng.gen()).collect();
         let cap = (30_000f64).ln().ln().ceil() as usize * 3; // Θ(log log n)
@@ -324,7 +320,6 @@ mod tests {
 
     #[test]
     fn writes_are_linear_reads_are_superlinear() {
-        let _g = crate::counter_guard();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let n = 40_000usize;
         let keys: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
@@ -343,7 +338,6 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let _g = crate::counter_guard();
         let keys: Vec<u32> = (0u32..5000)
             .map(|i| i.wrapping_mul(2_654_435_761) >> 7)
             .collect();
@@ -354,7 +348,6 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_matches_std_sort(keys in proptest::collection::vec(any::<i64>(), 0..3000), seed in 0u64..1000) {
-            let _g = crate::counter_guard();
             let sorted = incremental_sort(&keys, seed);
             let mut expected = keys.clone();
             expected.sort_unstable();
@@ -363,7 +356,6 @@ mod tests {
 
         #[test]
         fn prop_bounded_matches_std_sort(keys in proptest::collection::vec(any::<u32>(), 0..2000), cap in 1usize..8) {
-            let _g = crate::counter_guard();
             let (sorted, _) = incremental_sort_bounded_buckets(&keys, 1, cap);
             let mut expected = keys.clone();
             expected.sort_unstable();

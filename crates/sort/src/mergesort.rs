@@ -83,7 +83,6 @@ mod tests {
 
     #[test]
     fn sorts_correctly() {
-        let _g = crate::counter_guard();
         let keys: Vec<u64> = (0..20_000u64).map(|i| (i * 48271) % 65537).collect();
         let sorted = merge_sort_baseline(&keys);
         let mut expected = keys.clone();
@@ -93,14 +92,12 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let _g = crate::counter_guard();
         assert_eq!(merge_sort_baseline::<u64>(&[]), Vec::<u64>::new());
         assert_eq!(merge_sort_baseline(&[42u64]), vec![42]);
     }
 
     #[test]
     fn writes_scale_superlinearly() {
-        let _g = crate::counter_guard();
         // Confirm the baseline really does pay ~n log n writes, so that the
         // comparison in the benchmark harness is meaningful.
         let keys: Vec<u64> = (0..50_000u64).rev().collect();
@@ -115,7 +112,6 @@ mod tests {
     proptest! {
         #[test]
         fn prop_matches_std_sort(keys in proptest::collection::vec(any::<i32>(), 0..5000)) {
-            let _g = crate::counter_guard();
             let sorted = merge_sort_baseline(&keys);
             let mut expected = keys.clone();
             expected.sort_unstable();

@@ -33,7 +33,6 @@ mod tests {
 
     #[test]
     fn is_sorted_detects_order() {
-        let _g = crate::counter_guard();
         assert!(is_sorted::<u32>(&[]));
         assert!(is_sorted(&[1]));
         assert!(is_sorted(&[1, 1, 2, 3]));
@@ -42,7 +41,6 @@ mod tests {
 
     #[test]
     fn same_multiset_detects_differences() {
-        let _g = crate::counter_guard();
         assert!(same_multiset(&[1, 2, 2, 3], &[3, 2, 1, 2]));
         assert!(!same_multiset(&[1, 2, 3], &[1, 2, 2]));
         assert!(!same_multiset(&[1, 2], &[1, 2, 3]));

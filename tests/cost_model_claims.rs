@@ -2,19 +2,8 @@
 //! (roughly) flat as n grows for the write-efficient algorithms, while the
 //! baselines' writes per element grow with log n.
 
-use std::sync::{Mutex, MutexGuard};
-
 use pwe::prelude::*;
 use pwe_geom::generators::{uniform_grid_points, uniform_points_2d};
-
-/// Serializes the tests of this binary: cost assertions difference the
-/// process-global ARAM counters, so no other test may charge them
-/// concurrently.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-fn counter_guard() -> MutexGuard<'static, ()> {
-    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn writes_per_element<T>(f: impl FnOnce() -> T, n: usize) -> f64 {
     let (_, report) = measure(Omega::symmetric(), f);
@@ -23,7 +12,6 @@ fn writes_per_element<T>(f: impl FnOnce() -> T, n: usize) -> f64 {
 
 #[test]
 fn sort_writes_per_element_stay_bounded() {
-    let _g = counter_guard();
     let small_n = 20_000usize;
     let large_n = 160_000usize;
     let small: Vec<u64> = (0..small_n as u64)
@@ -55,7 +43,6 @@ fn sort_writes_per_element_stay_bounded() {
 
 #[test]
 fn delaunay_writes_per_element_gap_grows_with_n() {
-    let _g = counter_guard();
     let gap = |n: usize| {
         let pts = uniform_grid_points(n, 1 << 18, 5);
         let base = writes_per_element(|| triangulate_baseline(&pts, 7), n);
@@ -76,7 +63,6 @@ fn delaunay_writes_per_element_gap_grows_with_n() {
 
 #[test]
 fn kdtree_writes_per_element_stay_bounded() {
-    let _g = counter_guard();
     let wpe = |n: usize| {
         let pts = uniform_points_2d(n, 9);
         writes_per_element(

@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: the full pipelines a downstream user would
 //! run, exercised through the umbrella crate's public API.
 
-use std::sync::{Mutex, MutexGuard};
-
 use pwe::augtree::priority::{three_sided_bruteforce, PsPoint};
 use pwe::augtree::range_tree::{range_bruteforce, RtPoint};
 use pwe::delaunay::verify::{check_delaunay_property, check_mesh_consistency, same_triangulation};
@@ -12,18 +10,8 @@ use pwe_geom::bbox::{BBoxK, Rect};
 use pwe_geom::generators::*;
 use pwe_geom::interval::stab_bruteforce;
 
-/// Serializes the tests of this binary: cost assertions difference the
-/// process-global ARAM counters, so no other test may charge them
-/// concurrently.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-fn counter_guard() -> MutexGuard<'static, ()> {
-    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn sort_pipeline_is_correct_and_write_efficient() {
-    let _g = counter_guard();
     let keys: Vec<u64> = (0..60_000u64)
         .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) >> 13)
         .collect();
@@ -42,7 +30,6 @@ fn sort_pipeline_is_correct_and_write_efficient() {
 
 #[test]
 fn delaunay_pipeline_verifies_and_beats_baseline_on_writes() {
-    let _g = counter_guard();
     let points = uniform_grid_points(3_000, 1 << 18, 21);
     let ((base_mesh, we_mesh), _) = measure(Omega::new(10), || {
         (
@@ -58,7 +45,6 @@ fn delaunay_pipeline_verifies_and_beats_baseline_on_writes() {
 
 #[test]
 fn kdtree_pipeline_answers_queries_exactly() {
-    let _g = counter_guard();
     let pts = uniform_points_2d(20_000, 31);
     let p = pwe::kdtree::build::recommended_p(pts.len());
     let (tree, _) = build_p_batched(&pts, p, 16, 4);
@@ -78,7 +64,6 @@ fn kdtree_pipeline_answers_queries_exactly() {
 
 #[test]
 fn augmented_trees_answer_queries_exactly() {
-    let _g = counter_guard();
     // Interval tree.
     let intervals = random_intervals(5_000, 1e5, 50.0, 41);
     let tree = IntervalTree::build_parallel(&intervals, 8);
@@ -119,7 +104,6 @@ fn augmented_trees_answer_queries_exactly() {
 
 #[test]
 fn write_efficient_constructions_beat_classic_on_omega_weighted_work() {
-    let _g = counter_guard();
     let omega = Omega::new(20);
     // Interval tree.
     let intervals = random_intervals(20_000, 1e6, 100.0, 51);

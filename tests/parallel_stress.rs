@@ -1,24 +1,19 @@
 //! Counter/depth correctness under real concurrency.
 //!
-//! The read/write ledger of `pwe_asym::counters` is a pair of global relaxed
-//! atomics and the depth ledger composes spans over `par_join`; both claim
-//! to be *schedule-independent*: running an algorithm on one thread or on
-//! the whole work-stealing pool must record identical read/write totals and
-//! a parallel depth no larger than the sequential one (span max-composition
-//! can only shrink the serial sum).  These tests pin that down by running
-//! the same workload twice in one process — once inside
-//! `rayon::with_sequential` (everything inline on this thread) and once on
-//! the pool — and diffing the global counters around each run.
-//!
-//! The counters are process-global, so each test takes a shared lock and
-//! this file keeps all counter-sensitive assertions in one integration-test
-//! binary: cargo runs test *binaries* sequentially, which makes the
-//! snapshots race-free without any changes to the production counters.
+//! The read/write ledger of `pwe_asym::counters` and the depth ledger
+//! composed over `par_join` both claim to be *schedule-independent*:
+//! running an algorithm on one thread or on the whole work-stealing pool
+//! must record identical read/write totals and a parallel depth no larger
+//! than the sequential one (span max-composition can only shrink the serial
+//! sum).  These tests pin that down by running the same workload twice in
+//! one process — once inside `rayon::with_sequential` (everything inline on
+//! this thread) and once on the pool — each under its own
+//! `pwe_asym::cost::measure` frame, so concurrent tests cannot leak into
+//! the counts.
 
 use std::sync::Mutex;
 
-use pwe_asym::counters::CounterSnapshot;
-use pwe_asym::depth;
+use pwe_asym::cost::{measure, CostReport, Omega};
 use pwe_delaunay::verify::check_delaunay_property;
 use pwe_delaunay::write_efficient::triangulate_write_efficient_with_stats;
 use pwe_delaunay::{triangulate_baseline_with_stats, TriMesh};
@@ -27,34 +22,11 @@ use pwe_primitives::scan::par_exclusive_scan;
 use pwe_primitives::semisort::semisort_by_key;
 use pwe_sort::incremental_sort;
 
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-struct RunCost {
-    reads: u64,
-    writes: u64,
-    depth: u64,
-}
-
 /// Run `workload` once sequentially and once on the pool, returning both
 /// results and both recorded costs.
-fn seq_then_par<T>(workload: impl Fn() -> T) -> ((T, RunCost), (T, RunCost)) {
-    let run = |f: &dyn Fn() -> T| {
-        let counters = CounterSnapshot::now();
-        let depth_before = depth::accumulated();
-        let out = f();
-        let (reads, writes) = CounterSnapshot::now().since(&counters);
-        let depth = depth::accumulated() - depth_before;
-        (
-            out,
-            RunCost {
-                reads,
-                writes,
-                depth,
-            },
-        )
-    };
-    let seq = run(&|| rayon::with_sequential(&workload));
-    let par = run(&workload);
+fn seq_then_par<T>(workload: impl Fn() -> T) -> ((T, CostReport), (T, CostReport)) {
+    let seq = measure(Omega::default(), || rayon::with_sequential(&workload));
+    let par = measure(Omega::default(), &workload);
     (seq, par)
 }
 
@@ -62,7 +34,6 @@ fn assert_schedule_independent<T: PartialEq + std::fmt::Debug>(
     name: &str,
     workload: impl Fn() -> T,
 ) {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let ((seq_out, seq_cost), (par_out, par_cost)) = seq_then_par(workload);
     assert_eq!(seq_out, par_out, "{name}: outputs differ across schedules");
     assert_eq!(
