@@ -10,9 +10,9 @@
 //!   `DetHashSet` (or an ordered `BTree*` collection).  Allowlist: exactly
 //!   the file that defines the deterministic aliases.
 //! * **D2** `no-wall-clock` / `no-raw-spawn` — `Instant::now`/`SystemTime`
-//!   only in the benchmark layer (`crates/bench`, `vendor/criterion`) plus
-//!   the one diagnostic timestamp in `crates/asym/src/cost.rs`; thread
-//!   creation only inside the pool (`vendor/rayon`).
+//!   only in the benchmark layer (`crates/bench`) plus the one diagnostic
+//!   timestamp in `crates/asym/src/cost.rs`; thread creation only inside
+//!   the pool (`vendor/rayon`).
 //! * **U1** `safety-comment` — every `unsafe` token (block, fn, impl, or
 //!   fn-pointer type) must be preceded by a comment containing `SAFETY:`
 //!   with no `;`, `{`, `}` or `,` between the comment and the keyword.
@@ -146,7 +146,6 @@ fn rule_d1_det_hash(rel: &str, code: &[CodeTok], findings: &mut Vec<Finding>) {
 
 fn d2_clock_allowed(rel: &str) -> bool {
     rel.starts_with("crates/bench/")
-        || rel.starts_with("vendor/criterion/")
         // One diagnostic `elapsed` field in the cost report; never feeds a
         // counter or a layout decision (asserted by cost_model_claims).
         || rel == "crates/asym/src/cost.rs"

@@ -55,9 +55,11 @@ const EMPTY: usize = usize::MAX;
 
 /// Map an `f64` to a `u64` whose natural order matches the float's total
 /// order (sign-magnitude flip), so BTreeMap keys and integer sorts can be
-/// used on endpoint values.
+/// used on endpoint values.  `-0.0` maps to the key of `0.0`, so keys agree
+/// with IEEE `<=` on every non-NaN value.
 #[inline]
 pub fn f64_key(x: f64) -> u64 {
+    let x = x + 0.0;
     let bits = x.to_bits();
     if x.is_sign_negative() {
         !bits
@@ -341,7 +343,7 @@ impl IntervalTree {
             ep[2 * i + 1] = s.right;
         }
         record_reads(2 * m as u64);
-        ep.select_nth_unstable_by(m, f64::total_cmp);
+        ep.select_nth_unstable_by_key(m, |&x| f64_key(x));
         let key = ep[m];
         record_writes(2 * m as u64); // the classic build copies per level
 
@@ -1235,6 +1237,7 @@ mod tests {
         for &v in &values {
             assert_eq!(f64_from_key(f64_key(v)), v);
         }
+        assert_eq!(f64_key(-0.0), f64_key(0.0));
     }
 
     #[test]

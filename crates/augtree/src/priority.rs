@@ -100,7 +100,7 @@ impl PrioritySearchTree {
         let best = points
             .iter()
             .enumerate()
-            .max_by(|(_, a), (_, b)| a.point.y().total_cmp(&b.point.y()))
+            .max_by_key(|(_, p)| f64_key(p.point.y()))
             .map(|(i, _)| i)
             .unwrap();
         points.swap(best, m - 1);
@@ -110,7 +110,7 @@ impl PrioritySearchTree {
         let splitter = if survivors.is_empty() {
             item.point.x()
         } else {
-            survivors.select_nth_unstable_by(mid, |a, b| a.point.x().total_cmp(&b.point.x()));
+            survivors.select_nth_unstable_by_key(mid, |p| f64_key(p.point.x()));
             survivors[mid].point.x()
         };
         let idx = self.nodes.len();
@@ -165,7 +165,7 @@ impl PrioritySearchTree {
             pwe_asym::smallmem::SmallMem::with_budget(crate::engine::build_scratch_budget(n));
         // Sort by x (write-efficient sort costs: n log n reads, n writes).
         let mut sorted: Vec<PsPoint> = points.to_vec();
-        sorted.sort_by(|a, b| a.point.x().total_cmp(&b.point.x()));
+        sorted.sort_by_key(|p| f64_key(p.point.x()));
         record_reads(n as u64 * depth::log2_ceil(n.max(2)));
         record_writes(n as u64);
         // Validity flags are the only mutable shared state; they split along

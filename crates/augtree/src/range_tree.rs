@@ -234,7 +234,7 @@ impl RangeTree2D {
         let n = points.len();
         let ledger = SmallMem::with_budget(range_build_scratch_budget(n, alpha));
         let mut sorted = points.to_vec();
-        sorted.sort_by(|a, b| a.point.x().total_cmp(&b.point.x()));
+        sorted.sort_by_key(|p| f64_key(p.point.x()));
         record_reads(n as u64 * depth::log2_ceil(n.max(2)));
         record_writes(n as u64);
 
@@ -288,7 +288,7 @@ impl RangeTree2D {
             return tree;
         }
         let mut sorted = points.to_vec();
-        sorted.sort_by(|a, b| a.point.x().total_cmp(&b.point.x()));
+        sorted.sort_by_key(|p| f64_key(p.point.x()));
         record_reads(points.len() as u64 * depth::log2_ceil(points.len().max(2)));
         record_writes(points.len() as u64);
         tree.root = tree.build_classic_rec(&sorted);

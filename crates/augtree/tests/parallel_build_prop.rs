@@ -137,7 +137,7 @@ fn parallel_matches_sequential_above_fork_cutoff() {
 }
 
 /// A NaN coordinate must not panic any point-structure build (the x-sorts
-/// order by `total_cmp`); the finite points stay queryable.
+/// order by `f64_key`, a total order); the finite points stay queryable.
 #[test]
 fn point_builds_tolerate_nan_coordinates() {
     for (x, y) in [(f64::NAN, 0.5), (0.5, f64::NAN)] {

@@ -18,10 +18,11 @@
 //!   depend on ω (only the `work = reads + ω·writes` weighting does), so
 //!   each child measures once and derives every ω row.  Sweep workloads:
 //!   `delaunay` (ParIncrementalDT vs prefix-doubling+tracing), `sort`
-//!   (merge sort vs incremental) and the augmented-tree builds `interval`,
-//!   `priority`, `range` (classic per-level-copy constructions vs the
-//!   parallel allocation-lean engine; `BENCH_augtree.json` holds committed
-//!   trajectory points of this schema).
+//!   (merge sort vs incremental), `kdtree` (classic vs p-batched build)
+//!   and the augmented-tree builds `interval`, `priority`, `range` (classic
+//!   per-level-copy constructions vs the parallel allocation-lean engine;
+//!   `BENCH_augtree.json` holds committed trajectory points of this
+//!   schema).
 //! * **`--queries`** — the flat-vs-blocked query A/B: one `query_compare`
 //!   line per query workload (`interval_stab`, `range2d`,
 //!   `delaunay_locate`, `incircle_simd`), timing the same query stream
@@ -34,42 +35,12 @@
 //!   counters — the blocked layout is a machine-level rearrangement,
 //!   invisible to the cost model — and the line records both, so a
 //!   committed `BENCH_queries.json` row is self-validating.
-//! * **`--serve`** — the geometry-as-a-service load driver: one line per
-//!   `(loop, threads)` driving a preloaded, sharded
-//!   [`pwe_service::GeometryService`] with a writer arm publishing churn
-//!   generations concurrently with a reader arm serving query batches.
-//!   `loop` is `closed` (next batch issues on completion) or `open`
-//!   (batches arrive on a fixed schedule calibrated to ~80% utilisation,
-//!   so latency includes queueing delay).  Rows carry throughput,
-//!   p50/p99/max batch latency and the swap-overlap evidence
-//!   (`generations_swapped`, `overlap_batches`, `distinct_gens_observed`
-//!   — batches answered from a pre-final generation were served while
-//!   publishes were still outstanding).  `BENCH_service.json` holds
-//!   committed rows of this schema.
-//! * **`--serve --faults`** — the fault-mode arm of the load driver
-//!   (requires building with `--features faultinject`): after the preload
-//!   and open-loop calibration, a deterministic fault plan
-//!   ([`pwe_primitives::faultpoint`], seed `--fault-seed`) arms panics,
-//!   injected errors and delays against the shard rebuilds, the publish
-//!   commit step and the read path.  The reader gains admission control
-//!   (an open-loop batch arriving to a backlog deeper than
-//!   `SERVE_MAX_INFLIGHT` is rejected, not queued) and bounded per-batch
-//!   retry (a degraded batch is retried up to `SERVE_MAX_RETRIES` times
-//!   within a deadline of two arrival intervals).  Fault rows carry the
-//!   extra fields `faults_injected`, `batches_degraded`, `retries`,
-//!   `batches_rejected`, `quarantine_generations`, `rebuild_failures` and
-//!   `publish_aborts`; rows without `--faults` are byte-identical to the
-//!   plain serve schema, so committed `BENCH_service.json` baselines are
-//!   unperturbed.
 //! * **`--smoke`** — a tiny in-process sweep that validates the JSON
 //!   emitter and asserts the ω-crossover claim (at the largest swept ω the
 //!   write-efficient variant must cost less work), then runs every query
 //!   workload at a small n and asserts answer and counter equality of the
 //!   flat and blocked paths; exits non-zero on violation.  CI runs this so
 //!   the emitter cannot silently rot.
-//! * **`--serve-smoke`** — the same guard for the serve rows: runs both
-//!   loop modes small and in-process, checks every schema key and the
-//!   percentile ordering; exits non-zero on violation.
 //!
 //! Every JSON row carries `threads_available` (detected parallelism) and
 //! `rayon_threads` (actual pool width), so committed trajectories from a
@@ -82,10 +53,7 @@
 //!   cargo run --release -p pwe-bench --bin speedup -- --sweep --ns 10000,50000
 //!   cargo run --release -p pwe-bench --bin speedup -- --sweep --workload sort --omegas 1,10,40
 //!   cargo run --release -p pwe-bench --bin speedup -- --queries --workload range2d --n 200000
-//!   cargo run --release -p pwe-bench --bin speedup -- --serve --threads 4 --shards 8
-//!   cargo run --release -p pwe-bench --features faultinject --bin speedup -- --serve --faults
 //!   cargo run --release -p pwe-bench --bin speedup -- --smoke
-//!   cargo run --release -p pwe-bench --bin speedup -- --serve-smoke
 //!
 //! Speedup workloads: the theorem experiments (`sort`, `mergesort`,
 //! `delaunay`, `kdtree`), the parallel primitives behind them (`semisort`,
@@ -104,7 +72,7 @@ use pwe_geom::generators::{
 };
 use pwe_geom::predicates::is_ccw;
 use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint, Rect};
-use pwe_kdtree::build::{build_p_batched, recommended_p};
+use pwe_kdtree::build::{build_classic, build_p_batched, recommended_p};
 use pwe_primitives::scan::par_exclusive_scan;
 use pwe_primitives::semisort::semisort_by_key;
 use pwe_sort::{incremental_sort, merge_sort_baseline};
@@ -129,7 +97,9 @@ const WORKLOADS: &[&str] = &[
 /// allocation-lean engine of `pwe_augtree::engine` (the range tree's
 /// baseline is the textbook α = 2 build, where every node carries an inner
 /// structure; the engine builds at α = 8).
-const SWEEP_WORKLOADS: &[&str] = &["delaunay", "sort", "interval", "priority", "range"];
+const SWEEP_WORKLOADS: &[&str] = &[
+    "delaunay", "sort", "kdtree", "interval", "priority", "range",
+];
 
 /// Query workloads: each times one query stream twice over the same built
 /// structure — once through the flat arena descent, once through the
@@ -164,26 +134,6 @@ fn main() {
         let n = arg_usize(&args, "--n");
         let qbatch = arg_usize(&args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
         println!("{}", run_query_child(&workload, n, qbatch));
-        return;
-    }
-    if let Some(loop_mode) = arg_str(&args, "--child-serve") {
-        let n = arg_usize(&args, "--n").unwrap_or(DEFAULT_SERVE_N);
-        let shards = arg_usize(&args, "--shards").unwrap_or(DEFAULT_SERVE_SHARDS);
-        let qbatch = arg_usize(&args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-        let batches = arg_usize(&args, "--batches").unwrap_or(DEFAULT_SERVE_BATCHES);
-        let fault_seed = arg_usize(&args, "--fault-seed").map(|s| s as u64);
-        println!(
-            "{}",
-            run_serve_child(&loop_mode, n, shards, qbatch, batches, fault_seed)
-        );
-        return;
-    }
-    if args.iter().any(|a| a == "--serve-smoke") {
-        run_serve_smoke();
-        return;
-    }
-    if args.iter().any(|a| a == "--serve") {
-        run_serve_parent(&args);
         return;
     }
     if args.iter().any(|a| a == "--smoke") {
@@ -400,6 +350,12 @@ fn run_sweep_pair(workload: &str, n: usize) -> (CostReport, CostReport) {
             let keys = random_keys(n, 42);
             let (_, base) = measure(omega, || merge_sort_baseline(&keys));
             let (_, we) = measure(omega, || incremental_sort(&keys, 7));
+            (base, we)
+        }
+        "kdtree" => {
+            let points = uniform_points_2d(n, 11);
+            let (_, base) = measure(omega, || build_classic(&points, 16));
+            let (_, we) = measure(omega, || build_p_batched(&points, recommended_p(n), 16, 13));
             (base, we)
         }
         "interval" => {
@@ -971,507 +927,6 @@ fn run_smoke() {
         println!("{line}");
     }
     eprintln!("query smoke ok");
-}
-
-// ---------------------------------------------------------------------------
-// Geometry-as-a-service load driver (`--serve` / `--serve-smoke`).
-// ---------------------------------------------------------------------------
-
-/// Default preloaded element count per family for `--serve`.
-const DEFAULT_SERVE_N: usize = 50_000;
-/// Default shard count for `--serve`.
-const DEFAULT_SERVE_SHARDS: usize = 8;
-/// Default number of timed reader batches per `--serve` row.
-const DEFAULT_SERVE_BATCHES: usize = 160;
-/// Preloaded Delaunay sites (the replicated mesh the `locate` queries hit).
-const SERVE_SITES: usize = 2_000;
-/// Coordinate half-range shared by the preload and the query stream.
-const SERVE_SPAN: i64 = 1 << 12;
-/// Updates per writer churn batch; each batch dirties at most this many
-/// shards, so untouched shards stay structurally shared across the swap.
-const SERVE_CHURN_UPDATES: usize = 4;
-/// Writer rounds are bounded (no unbounded flag-wait: at one pool thread
-/// the two `join` arms run back-to-back, so an unbounded writer would
-/// starve the reader instead of overlapping with it).
-const SERVE_WRITER_DIVISOR: usize = 4;
-/// Open-loop arrival interval = calibrated mean batch latency × 5/4
-/// (~80% utilisation, so queueing delay is visible but the loop is stable).
-const SERVE_OPEN_SLACK_NUM: u32 = 5;
-const SERVE_OPEN_SLACK_DEN: u32 = 4;
-/// Calibration batches for the open-loop arrival interval.
-const SERVE_WARMUP_BATCHES: usize = 8;
-/// Fault mode: open-loop admission bound — an arriving batch finding a
-/// deeper backlog is rejected instead of queued (injected delays must shed
-/// load, not grow the queue without bound).
-const SERVE_MAX_INFLIGHT: usize = 4;
-/// Fault mode: bounded per-batch retries when the served answer is
-/// degraded (a quarantined shard answered from its last-good snapshot).
-const SERVE_MAX_RETRIES: usize = 2;
-/// Fault mode: per-batch retry deadline in arrival intervals (open loop).
-const SERVE_RETRY_DEADLINE_INTERVALS: f64 = 2.0;
-/// Default `--fault-seed` for `--serve --faults`.
-const SERVE_FAULT_SEED: u64 = 0xFA57;
-
-/// Arm the serve-bench fault plan: rebuilds can panic / error / delay, the
-/// publish commit can error / delay (aborting the swap losslessly), the
-/// read path only delays.  Per-mille rates are mild enough that the loop
-/// stays live but every containment path fires over a default-length run.
-#[cfg(feature = "faultinject")]
-fn arm_serve_plan(seed: u64) -> pwe_primitives::faultpoint::ArmedPlan {
-    pwe_primitives::faultpoint::FaultPlan::new(seed)
-        .rule("service.rebuild.", 60, 60, 40, 200)
-        .rule("service.publish.commit", 0, 40, 40, 100)
-        .rule("service.serve.batch", 0, 0, 100, 400)
-        .arm()
-}
-
-/// One query batch mixing all five kinds over the preload's domain.
-fn serve_query_batch(rng: &mut rand::rngs::StdRng, qbatch: usize) -> pwe_service::QueryBatch {
-    use pwe_service::Query;
-    let span = SERVE_SPAN as f64;
-    let queries = (0..qbatch)
-        .map(|_| {
-            let a: i64 = rng.gen_range(-SERVE_SPAN..=SERVE_SPAN);
-            let b: i64 = rng.gen_range(-SERVE_SPAN..=SERVE_SPAN);
-            let (lo, hi) = (a.min(b) as f64, a.max(b) as f64);
-            match rng.gen_range(0..5u32) {
-                0 => Query::Stab {
-                    x: rng.gen_range(0.0..span),
-                },
-                1 => Query::Range2D {
-                    rect: Rect::new(lo, (lo + span / 16.0).min(hi.max(lo)), lo, lo + span / 16.0),
-                },
-                2 => Query::ThreeSided {
-                    x_lo: lo,
-                    x_hi: hi,
-                    y_bot: lo,
-                },
-                3 => Query::Nearest { x: lo, y: hi },
-                _ => Query::Locate { x: a, y: b },
-            }
-        })
-        .collect();
-    pwe_service::QueryBatch { queries }
-}
-
-/// One writer churn batch: delete-and-reinsert a few ids with fresh
-/// coordinates (interval and point families; the mesh stays static after
-/// preload, so swaps exercise the partial-rebuild path).
-fn serve_churn_batch(rng: &mut rand::rngs::StdRng, n: usize) -> pwe_service::UpdateBatch {
-    use pwe_service::Update;
-    let mut updates = Vec::with_capacity(4 * SERVE_CHURN_UPDATES);
-    for _ in 0..SERVE_CHURN_UPDATES {
-        let id: u64 = rng.gen_range(0..n as u64);
-        let left: f64 = rng.gen_range(0.0..(2.0 * SERVE_SPAN as f64));
-        let x: i64 = rng.gen_range(-SERVE_SPAN..=SERVE_SPAN);
-        let y: i64 = rng.gen_range(-SERVE_SPAN..=SERVE_SPAN);
-        updates.push(Update::DeleteInterval(id));
-        updates.push(Update::InsertInterval(pwe_geom::interval::Interval::new(
-            left,
-            left + 64.0,
-            id,
-        )));
-        updates.push(Update::DeletePoint(id));
-        updates.push(Update::InsertPoint {
-            x: x as f64,
-            y: y as f64,
-            id,
-        });
-    }
-    pwe_service::UpdateBatch { updates }
-}
-
-/// Build a service preloaded with `n` intervals, `n` points and
-/// [`SERVE_SITES`] distinct mesh sites (generation 1).
-fn serve_preload(n: usize, shards: usize) -> pwe_service::GeometryService {
-    use pwe_service::Update;
-    let svc = pwe_service::GeometryService::new(shards);
-    let mut updates = Vec::with_capacity(2 * n + SERVE_SITES);
-    for iv in random_intervals(n, 2.0 * SERVE_SPAN as f64, 200.0, 0x5E21) {
-        updates.push(Update::InsertInterval(iv));
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E22);
-    for id in 0..n as u64 {
-        updates.push(Update::InsertPoint {
-            x: rng.gen_range(-SERVE_SPAN..=SERVE_SPAN) as f64,
-            y: rng.gen_range(-SERVE_SPAN..=SERVE_SPAN) as f64,
-            id,
-        });
-    }
-    for site in uniform_grid_points(SERVE_SITES, SERVE_SPAN, 0x5E23) {
-        updates.push(Update::InsertSite(site));
-    }
-    svc.apply(&pwe_service::UpdateBatch { updates });
-    svc
-}
-
-/// Nearest-rank percentile of an ascending latency list, in microseconds.
-fn percentile_us(sorted: &[f64], pct: usize) -> f64 {
-    assert!(!sorted.is_empty());
-    let rank = (pct * sorted.len()).div_ceil(100).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// One serve-mode measurement inside a child whose pool width is fixed:
-/// a writer arm publishing churn generations concurrently with a reader
-/// arm serving `batches` query batches, closed- or open-loop.
-///
-/// With `fault_seed` set (fault mode, `faultinject` feature only), the
-/// deterministic plan of `arm_serve_plan` arms *after* the preload and
-/// calibration; the reader adds admission control and bounded degraded
-/// retries, and the row grows the fault-mode fields.  Without it, the row
-/// is byte-identical to the plain serve schema.
-fn run_serve_child(
-    loop_mode: &str,
-    n: usize,
-    shards: usize,
-    qbatch: usize,
-    batches: usize,
-    fault_seed: Option<u64>,
-) -> String {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
-
-    assert!(
-        loop_mode == "closed" || loop_mode == "open",
-        "serve loop must be closed or open, got {loop_mode:?}"
-    );
-    #[cfg(not(feature = "faultinject"))]
-    assert!(
-        fault_seed.is_none(),
-        "--faults requires rebuilding with --features faultinject"
-    );
-    let open = loop_mode == "open";
-    let faulted = fault_seed.is_some();
-    let svc = serve_preload(n, shards);
-    let base_gen = svc.current_gen_id();
-
-    let mut qrng = rand::rngs::StdRng::seed_from_u64(0x5E24);
-    let query_batches: Vec<pwe_service::QueryBatch> = (0..batches)
-        .map(|_| serve_query_batch(&mut qrng, qbatch))
-        .collect();
-
-    // Open-loop arrival interval: calibrate the mean unloaded batch
-    // latency, then offer ~80% of that service rate.
-    let interval_us = if open {
-        let mut wrng = rand::rngs::StdRng::seed_from_u64(0x5E25);
-        let warm: Vec<pwe_service::QueryBatch> = (0..SERVE_WARMUP_BATCHES)
-            .map(|_| serve_query_batch(&mut wrng, qbatch))
-            .collect();
-        let t = Instant::now();
-        for qb in &warm {
-            let _ = svc.serve(qb);
-        }
-        let mean = t.elapsed().as_secs_f64() * 1e6 / SERVE_WARMUP_BATCHES as f64;
-        mean * f64::from(SERVE_OPEN_SLACK_NUM) / f64::from(SERVE_OPEN_SLACK_DEN)
-    } else {
-        0.0
-    };
-
-    // Fault mode only: the plan arms after preload and calibration, so the
-    // measured loop (and nothing before it) sees injected faults.  The
-    // guard disarms when this function returns; `faults_injected` is read
-    // out before that.
-    #[cfg(feature = "faultinject")]
-    let _armed = fault_seed.map(arm_serve_plan);
-
-    let stop = AtomicBool::new(false);
-    let writer_rounds = (batches / SERVE_WRITER_DIVISOR).max(1);
-    let t0 = Instant::now();
-    let (gens_swapped, (lat_us, gens_seen, fault_obs)) = rayon::join(
-        || {
-            let mut wrng = rand::rngs::StdRng::seed_from_u64(0x5E26);
-            let mut swapped = 0usize;
-            for round in 0..writer_rounds {
-                // Always publish at least once so every row reports a swap,
-                // even if the reader drains before the writer is scheduled.
-                if round > 0 && stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Injected rebuild panics are contained inside `apply`
-                // (quarantine + retry-with-backoff); an aborted publish
-                // keeps the batch durably applied but swaps nothing.
-                if svc.apply(&serve_churn_batch(&mut wrng, n)).published {
-                    swapped += 1;
-                }
-            }
-            swapped
-        },
-        || {
-            let mut lat = Vec::with_capacity(batches);
-            let mut gens = Vec::with_capacity(batches);
-            // (batches_degraded, retries, batches_rejected) — fault mode.
-            let mut obs = (0usize, 0usize, 0usize);
-            for (i, qb) in query_batches.iter().enumerate() {
-                let start = if open {
-                    // Open loop: arrivals are scheduled, not gated on
-                    // completion — latency includes queueing delay.
-                    let arrival_us = interval_us * i as f64;
-                    while (t0.elapsed().as_secs_f64() * 1e6) < arrival_us {
-                        std::hint::spin_loop();
-                    }
-                    t0.elapsed().as_secs_f64() * 1e6
-                } else {
-                    t0.elapsed().as_secs_f64() * 1e6
-                };
-                if faulted && open {
-                    // Admission control: arrivals due but unhandled beyond
-                    // this batch form the backlog; shed instead of queue.
-                    let due = ((start / interval_us) as usize + 1).min(batches);
-                    if due.saturating_sub(i) > SERVE_MAX_INFLIGHT {
-                        obs.2 += 1;
-                        continue;
-                    }
-                }
-                let mut ab = svc.serve(qb);
-                if faulted {
-                    // Bounded retry: a degraded batch (some shard serving
-                    // its quarantined last-good snapshot) re-pins the
-                    // current generation, succeeding once the writer's
-                    // backoff schedule heals the shard.
-                    let deadline_us = start + SERVE_RETRY_DEADLINE_INTERVALS * interval_us;
-                    let mut attempts = 0usize;
-                    while ab.degraded
-                        && attempts < SERVE_MAX_RETRIES
-                        && (!open || t0.elapsed().as_secs_f64() * 1e6 < deadline_us)
-                    {
-                        attempts += 1;
-                        obs.1 += 1;
-                        ab = svc.serve(qb);
-                    }
-                    if ab.degraded {
-                        obs.0 += 1;
-                    }
-                }
-                lat.push(t0.elapsed().as_secs_f64() * 1e6 - start);
-                gens.push(ab.gen_id);
-            }
-            stop.store(true, Ordering::Relaxed);
-            (lat, gens, obs)
-        },
-    );
-    let total_millis = t0.elapsed().as_secs_f64() * 1e3;
-    let (batches_degraded, retries, batches_rejected) = fault_obs;
-
-    let final_gen = base_gen + gens_swapped as u64;
-    assert_eq!(svc.current_gen_id(), final_gen, "swap accounting drifted");
-    // Reader batches answered from a generation older than the final one
-    // were served while the writer still had publishes outstanding: the
-    // snapshot path let them proceed through the swaps.
-    let overlap_batches = gens_seen.iter().filter(|&&g| g < final_gen).count();
-    let distinct_gens = {
-        let mut g = gens_seen.clone();
-        g.sort_unstable();
-        g.dedup();
-        g.len()
-    };
-
-    let mut sorted = lat_us.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    assert!(!sorted.is_empty(), "admission control rejected every batch");
-    let queries_total = ((batches - batches_rejected) * qbatch) as f64;
-    let throughput_qps = queries_total / (total_millis / 1e3);
-
-    let fault_fields = match fault_seed {
-        None => String::new(),
-        Some(seed) => {
-            let stats = svc.stats();
-            format!(
-                ",\"faults\":true,\"fault_seed\":{seed},\
-                 \"faults_injected\":{},\"batches_degraded\":{batches_degraded},\
-                 \"retries\":{retries},\"batches_rejected\":{batches_rejected},\
-                 \"quarantine_generations\":{},\"rebuild_failures\":{},\
-                 \"publish_aborts\":{}",
-                pwe_primitives::faultpoint::injected_total(),
-                stats.quarantine_generations,
-                stats.rebuild_failures,
-                stats.publish_aborts,
-            )
-        }
-    };
-
-    format!(
-        "{{\"mode\":\"serve\",\"loop\":\"{loop_mode}\",\"n\":{n},\"shards\":{shards},\
-         \"qbatch\":{qbatch},\"batches\":{batches},{},\"millis\":{total_millis:.3},\
-         \"interval_us\":{interval_us:.1},\"throughput_qps\":{throughput_qps:.1},\
-         \"p50_us\":{:.1},\"p99_us\":{:.1},\"max_us\":{:.1},\
-         \"generations_swapped\":{gens_swapped},\"overlap_batches\":{overlap_batches},\
-         \"distinct_gens_observed\":{distinct_gens}{fault_fields}}}",
-        thread_fields(),
-        percentile_us(&sorted, 50),
-        percentile_us(&sorted, 99),
-        sorted.last().expect("non-empty"),
-    )
-}
-
-/// Parent for `--serve`: one child per (loop, threads), pool width fixed
-/// through the environment exactly like the speedup mode.
-fn run_serve_parent(args: &[String]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let n = arg_usize(args, "--n").unwrap_or(DEFAULT_SERVE_N);
-    let shards = arg_usize(args, "--shards").unwrap_or(DEFAULT_SERVE_SHARDS);
-    let qbatch = arg_usize(args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-    let batches = arg_usize(args, "--batches").unwrap_or(DEFAULT_SERVE_BATCHES);
-    let faults = args.iter().any(|a| a == "--faults");
-    if faults && !cfg!(feature = "faultinject") {
-        eprintln!(
-            "--faults requires the faultinject feature: \
-             cargo run --release -p pwe-bench --features faultinject --bin speedup -- --serve --faults"
-        );
-        std::process::exit(2);
-    }
-    let fault_seed = arg_usize(args, "--fault-seed")
-        .map(|s| s as u64)
-        .unwrap_or(SERVE_FAULT_SEED);
-    let threads: Vec<usize> = match arg_str(args, "--threads") {
-        Some(list) => parse_list(&list),
-        None => {
-            let max = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let mut ts = vec![max, 4];
-            ts.sort_unstable();
-            ts.dedup();
-            ts
-        }
-    };
-    for &t in &threads {
-        for loop_mode in ["closed", "open"] {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--child-serve")
-                .arg(loop_mode)
-                .arg("--n")
-                .arg(n.to_string())
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--qbatch")
-                .arg(qbatch.to_string())
-                .arg("--batches")
-                .arg(batches.to_string());
-            if faults {
-                cmd.arg("--fault-seed").arg(fault_seed.to_string());
-            }
-            cmd.env("RAYON_NUM_THREADS", t.to_string());
-            let out = cmd.output().expect("failed to spawn serve child");
-            if !out.status.success() {
-                eprintln!(
-                    "serve child ({loop_mode}, {t} threads) failed: {}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                std::process::exit(1);
-            }
-            let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            println!("{line}");
-            let qps = json_f64(&line, "throughput_qps").unwrap_or(0.0);
-            let p50 = json_f64(&line, "p50_us").unwrap_or(0.0);
-            let p99 = json_f64(&line, "p99_us").unwrap_or(0.0);
-            let overlap = json_f64(&line, "overlap_batches").unwrap_or(0.0);
-            eprintln!(
-                "serve {loop_mode:<6} threads={t:<3} {qps:>10.0} q/s   \
-                 p50 {p50:>8.1} µs   p99 {p99:>8.1} µs   overlap {overlap}"
-            );
-            if faults {
-                let injected = json_f64(&line, "faults_injected").unwrap_or(0.0);
-                let degraded = json_f64(&line, "batches_degraded").unwrap_or(0.0);
-                let retries = json_f64(&line, "retries").unwrap_or(0.0);
-                let rejected = json_f64(&line, "batches_rejected").unwrap_or(0.0);
-                eprintln!(
-                    "      faults: injected {injected}   degraded {degraded}   \
-                     retries {retries}   rejected {rejected}"
-                );
-            }
-        }
-    }
-}
-
-/// `--serve-smoke`: a small in-process run of both loop modes that
-/// validates the `BENCH_service.json` row schema and its internal sanity;
-/// any violation aborts with a non-zero exit.  CI runs this.
-fn run_serve_smoke() {
-    for loop_mode in ["closed", "open"] {
-        let line = run_serve_child(loop_mode, 2_000, 3, 64, 30, None);
-        for key in [
-            "n",
-            "shards",
-            "qbatch",
-            "batches",
-            "millis",
-            "interval_us",
-            "throughput_qps",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "generations_swapped",
-            "overlap_batches",
-            "distinct_gens_observed",
-            "threads_available",
-            "rayon_threads",
-        ] {
-            assert!(
-                json_f64(&line, key).is_some(),
-                "serve smoke: key {key:?} missing or non-numeric in {line}"
-            );
-        }
-        assert!(
-            line.contains("\"mode\":\"serve\"")
-                && line.contains(&format!("\"loop\":\"{loop_mode}\"")),
-            "serve smoke: mode/loop tags missing in {line}"
-        );
-        let p50 = json_f64(&line, "p50_us").unwrap();
-        let p99 = json_f64(&line, "p99_us").unwrap();
-        let max = json_f64(&line, "max_us").unwrap();
-        assert!(
-            0.0 < p50 && p50 <= p99 && p99 <= max,
-            "serve smoke: percentiles out of order in {line}"
-        );
-        assert!(
-            json_f64(&line, "throughput_qps").unwrap() > 0.0,
-            "serve smoke: non-positive throughput in {line}"
-        );
-        assert!(
-            json_f64(&line, "generations_swapped").unwrap() >= 1.0,
-            "serve smoke: writer never swapped a generation in {line}"
-        );
-        assert!(
-            !line.contains("\"faults\""),
-            "serve smoke: fault fields leaked into a plain serve row: {line}"
-        );
-        println!("{line}");
-    }
-    // With the feature compiled in, also smoke the fault-mode schema: the
-    // extra fields must be present and numeric, injected faults must have
-    // fired (the serve-site delay schedule is a pure function of the seed),
-    // and the writer must still have swapped at least one generation
-    // through the containment layer.
-    #[cfg(feature = "faultinject")]
-    {
-        let line = run_serve_child("closed", 2_000, 3, 64, 30, Some(SERVE_FAULT_SEED));
-        for key in [
-            "fault_seed",
-            "faults_injected",
-            "batches_degraded",
-            "retries",
-            "batches_rejected",
-            "quarantine_generations",
-            "rebuild_failures",
-            "publish_aborts",
-        ] {
-            assert!(
-                json_f64(&line, key).is_some(),
-                "serve smoke: fault key {key:?} missing or non-numeric in {line}"
-            );
-        }
-        assert!(
-            json_f64(&line, "faults_injected").unwrap() > 0.0,
-            "serve smoke: armed plan injected nothing in {line}"
-        );
-        assert!(
-            json_f64(&line, "generations_swapped").unwrap() >= 1.0,
-            "serve smoke: no generation survived the fault plan in {line}"
-        );
-        println!("{line}");
-    }
-    eprintln!("serve smoke ok");
 }
 
 /// Parse a comma-separated list of positive integers; a malformed token is

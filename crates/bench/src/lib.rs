@@ -1,5 +1,4 @@
-//! Experiment harness shared by the `table1` / `theorems` binaries and the
-//! criterion benches.
+//! Experiment harness shared by the `table1` / `theorems` binaries.
 //!
 //! Every function runs one of the paper's experiments — the theorem
 //! baselines vs write-efficient pairs of §4 (sort), §5 (Delaunay) and §6

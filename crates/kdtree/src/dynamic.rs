@@ -220,32 +220,16 @@ impl<const K: usize> LogarithmicKdForest<K> {
         out
     }
 
-    /// Nearest live neighbour of `q`, as `(id, point)`.
+    /// Nearest live neighbour of `q`, as `(id, point)`: one tombstone-aware
+    /// descent per tree, `O(log n)` trees.
     pub fn nearest(&self, q: &PointK<K>) -> Option<(u64, PointK<K>)> {
         let mut best: Option<(u64, PointK<K>, f64)> = None;
         for slot in self.slots.iter().flatten() {
-            // Ask each tree for progressively more neighbours until a live one
-            // is found; with few deletions the first answer is almost always
-            // live, matching the O(log² n) query bound.
-            let candidates = slot.tree.range_query(&BBoxK::everything());
-            let mut local: Vec<u32> = candidates;
-            local.sort_by(|&a, &b| {
-                slot.tree.points()[a as usize]
-                    .dist2(q)
-                    .partial_cmp(&slot.tree.points()[b as usize].dist2(q))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for idx in local {
-                let id = slot.ids[idx as usize];
-                if self.deleted.contains(&id) {
-                    continue;
-                }
-                let p = slot.tree.points()[idx as usize];
-                let d = p.dist2(q);
+            let skip = |i: u32| self.deleted.contains(&slot.ids[i as usize]);
+            if let Some((idx, d)) = slot.tree.nearest_unskipped(q, &skip) {
                 if best.as_ref().is_none_or(|(_, _, bd)| d < *bd) {
-                    best = Some((id, p, d));
+                    best = Some((slot.ids[idx as usize], slot.tree.points()[idx as usize], d));
                 }
-                break;
             }
         }
         best.map(|(id, p, _)| (id, p))
@@ -525,26 +509,11 @@ impl<const K: usize> DynamicKdTree<K> {
         out
     }
 
-    /// Nearest live neighbour of `q`.
+    /// Nearest live neighbour of `q`: one descent that skips deleted points.
     pub fn nearest(&self, q: &PointK<K>) -> Option<(u64, PointK<K>)> {
-        // Search with the static tree; if the best hit is deleted, fall back
-        // to scanning live points (rare — deletions trigger rebuilds).
-        if let Some(idx) = self.tree.nearest(q) {
-            if !self.deleted[idx as usize] {
-                return Some((self.ids[idx as usize], self.tree.points[idx as usize]));
-            }
-        }
-        let mut best: Option<(u64, PointK<K>, f64)> = None;
-        for (i, p) in self.tree.points.iter().enumerate() {
-            if self.deleted[i] {
-                continue;
-            }
-            let d = p.dist2(q);
-            if best.as_ref().is_none_or(|(_, _, bd)| d < *bd) {
-                best = Some((self.ids[i], *p, d));
-            }
-        }
-        best.map(|(id, p, _)| (id, p))
+        let skip = |i: u32| self.deleted[i as usize];
+        let (idx, _) = self.tree.nearest_unskipped(q, &skip)?;
+        Some((self.ids[idx as usize], self.tree.points[idx as usize]))
     }
 }
 
@@ -624,6 +593,62 @@ mod tests {
         forest.delete(a);
         let nn = forest.nearest(&q).unwrap();
         assert_ne!(nn.0, a);
+    }
+
+    /// Distance of the brute-force nearest live point (ties make the id
+    /// ambiguous, the distance is not).
+    fn live_nearest_dist2(live: &[(u64, PointK<2>)], q: &PointK<2>) -> Option<f64> {
+        let pts: Vec<PointK<2>> = live.iter().map(|(_, p)| *p).collect();
+        crate::tree::nearest_bruteforce(&pts, q).map(|i| pts[i as usize].dist2(q))
+    }
+
+    #[test]
+    fn nearest_skips_tombstones_like_bruteforce() {
+        let pts = uniform_points_2d(3000, 12);
+        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
+        let ids: Vec<u64> = pts.iter().map(|p| forest.insert(*p)).collect();
+        let mut single = DynamicKdTree::new(&pts, 0.7, RebuildStrategy::PBatched);
+        // A third of the points die: below both rebuild thresholds, so the
+        // descents must step over tombstones.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let mut live: Vec<(u64, PointK<2>)> = Vec::new();
+        for (i, &p) in pts.iter().enumerate() {
+            if rng.gen_range(0..3u32) == 0 {
+                assert!(forest.delete(ids[i]));
+                assert!(single.delete(i as u64));
+            } else {
+                live.push((ids[i], p));
+            }
+        }
+        for q in uniform_points_2d(200, 14) {
+            let want = live_nearest_dist2(&live, &q);
+            for (id, p) in [forest.nearest(&q), single.nearest(&q)]
+                .into_iter()
+                .flatten()
+            {
+                assert!(live.iter().any(|&(l, _)| l == id), "dead id {id} reported");
+                assert_eq!(Some(p.dist2(&q)), want);
+            }
+        }
+    }
+
+    #[test]
+    fn forest_nearest_reads_stay_sublinear() {
+        let n = 20_000;
+        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
+        let ids: Vec<u64> = uniform_points_2d(n, 15)
+            .iter()
+            .map(|p| forest.insert(*p))
+            .collect();
+        for id in ids.iter().step_by(7) {
+            forest.delete(*id);
+        }
+        for q in uniform_points_2d(20, 16) {
+            let (nn, cost) =
+                pwe_asym::cost::measure(pwe_asym::cost::Omega::new(1), || forest.nearest(&q));
+            assert!(nn.is_some());
+            assert!(cost.reads < n as u64 / 4, "{} reads at n = {n}", cost.reads);
+        }
     }
 
     #[test]

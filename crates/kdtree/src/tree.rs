@@ -216,13 +216,34 @@ impl<const K: usize> KdTree<K> {
     /// Nearest-neighbour search returning the index and the distance, with
     /// the (1+ε) pruning rule (ε = 0 gives the exact answer).
     pub fn nearest_impl(&self, q: &PointK<K>, eps: f64) -> Option<(u32, f64)> {
+        let shrink = 1.0 / ((1.0 + eps) * (1.0 + eps));
+        self.nn_search(q, shrink, &|_| false)
+            .map(|(i, d2)| (i, d2.sqrt()))
+    }
+
+    /// Exact nearest neighbour of `q` among the points `skip` does not
+    /// reject, as `(index, squared distance)`.  The dynamic structures pass
+    /// their tombstones here, so one descent serves live and static trees.
+    pub(crate) fn nearest_unskipped(
+        &self,
+        q: &PointK<K>,
+        skip: &impl Fn(u32) -> bool,
+    ) -> Option<(u32, f64)> {
+        self.nn_search(q, 1.0, skip)
+    }
+
+    fn nn_search(
+        &self,
+        q: &PointK<K>,
+        shrink: f64,
+        skip: &impl Fn(u32) -> bool,
+    ) -> Option<(u32, f64)> {
         if self.root == EMPTY {
             return None;
         }
         let mut best: Option<(u32, f64)> = None;
-        let shrink = 1.0 / ((1.0 + eps) * (1.0 + eps));
-        self.nn_rec(self.root, &BBoxK::everything(), q, shrink, &mut best);
-        best.map(|(i, d2)| (i, d2.sqrt()))
+        self.nn_rec(self.root, &BBoxK::everything(), q, shrink, skip, &mut best);
+        best
     }
 
     fn nn_rec(
@@ -231,6 +252,7 @@ impl<const K: usize> KdTree<K> {
         region: &BBoxK<K>,
         q: &PointK<K>,
         shrink: f64,
+        skip: &impl Fn(u32) -> bool,
         best: &mut Option<(u32, f64)>,
     ) {
         record_read();
@@ -245,6 +267,9 @@ impl<const K: usize> KdTree<K> {
         if node.is_leaf() {
             for &pi in &node.bucket {
                 record_read();
+                if skip(pi) {
+                    continue;
+                }
                 let d2 = self.points[pi as usize].dist2(q);
                 if best.is_none_or(|(_, b)| d2 < b) {
                     *best = Some((pi, d2));
@@ -262,7 +287,7 @@ impl<const K: usize> KdTree<K> {
         };
         for (child, child_region) in order {
             if child != EMPTY {
-                self.nn_rec(child, &child_region, q, shrink, best);
+                self.nn_rec(child, &child_region, q, shrink, skip, best);
             }
         }
     }

@@ -140,7 +140,10 @@ pub enum Query {
         y: f64,
     },
     /// The Delaunay triangle containing the grid point, as its sorted site
-    /// ids ([`GHOST_SITE`] marks bounding-triangle vertices).
+    /// ids ([`GHOST_SITE`] marks bounding-triangle vertices).  A coordinate
+    /// outside `±`[`GRID_LIMIT`](pwe_geom::point::GRID_LIMIT) answers
+    /// `None`: sites lie within `±`[`pwe_delaunay::mesh::SITE_LIMIT`], so
+    /// such a point is outside the bounding triangle.
     Locate {
         /// Query x (grid coordinate).
         x: i64,

@@ -187,11 +187,11 @@ impl ShardGen {
         let d2 = self.kd.points()[idx as usize].dist2(&q);
         // Inflate the probe radius a hair past √d2: the candidate filter
         // below is exact (bit-equal d2), the box only has to be a superset.
-        let r = if d2 == 0.0 {
-            0.0
-        } else {
-            (d2.sqrt() * (1.0 + 1e-9)).next_up()
-        };
+        // Squares of offsets below 2^-511 underflow (to zero or a
+        // subnormal), so a small d2 can belong to points up to 2^-510 away.
+        let r = (d2.sqrt() * (1.0 + 1e-9))
+            .next_up()
+            .max(2.0 * f64::MIN_POSITIVE.sqrt());
         let ball = BBoxK::new([x - r, y - r], [x + r, y + r]);
         let mut best: Option<u64> = None;
         for cand in self.kd.range_query(&ball) {

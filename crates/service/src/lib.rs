@@ -37,8 +37,9 @@
 //! * [`gen`] — generation building through the existing engines.
 //! * [`service`] — [`GeometryService`]: `apply` / `serve`.
 //!
-//! The load driver lives in `pwe-bench` (`speedup --serve`), reporting
-//! throughput and p50/p99 batch latency into `BENCH_service.json`.
+//! The load driver is the standalone `svcbench` package at the repo root,
+//! which times the service end to end and checks every answer against an
+//! oracle.
 
 pub mod api;
 pub mod gen;

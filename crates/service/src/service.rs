@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use rayon::prelude::*;
 
 use pwe_delaunay::mesh::SITE_LIMIT;
-use pwe_geom::point::GridPoint;
+use pwe_geom::point::{GridPoint, GRID_LIMIT};
 use pwe_primitives::hash::DetHashSet;
 use pwe_primitives::{faultpoint, racecheck};
 
@@ -497,9 +497,10 @@ impl GeometryService {
     /// have read stale structures.
     pub fn serve(&self, batch: &QueryBatch) -> AnswerBatch {
         if faultpoint::ENABLED {
-            // The reader-side fault site (latency shaping in the bench's
-            // fault arm).  Fail-open: reads cannot fail, so an error
-            // decision is counted-and-ignored and a panic is contained.
+            // The reader-side fault site (read-path delays in the
+            // `fault_equiv` chaos suite).  Fail-open: reads cannot fail, so
+            // an error decision is counted-and-ignored and a panic is
+            // contained.
             let _ = std::panic::catch_unwind(|| faultpoint::check("service.serve.batch"));
         }
         let pinned = self.pin();
@@ -553,6 +554,9 @@ fn answer_one(g: &ServiceGen, q: &Query) -> Answer {
             let best = shards.filter_map(|s| s.nearest(x, y)).min_by(cmp_hits);
             Answer::Nearest(best)
         }
+        // Sites lie within ±SITE_LIMIT, so the bounding triangle does too:
+        // an off-grid point is outside it, and never becomes a GridPoint.
+        Query::Locate { x, y } if !(on_grid(x) && on_grid(y)) => Answer::Located(None),
         Query::Locate { x, y } => Answer::Located(g.mesh.locate(GridPoint::new(x, y))),
     }
 }
@@ -588,6 +592,10 @@ fn reject_reason(u: &Update) -> Option<RejectReason> {
 
 fn site_in_range(c: i64) -> bool {
     (-SITE_LIMIT..=SITE_LIMIT).contains(&c)
+}
+
+fn on_grid(c: i64) -> bool {
+    (-GRID_LIMIT..=GRID_LIMIT).contains(&c)
 }
 
 /// Canonical nearest-hit order: squared distance, then id.
