@@ -10,9 +10,9 @@
 //!   `DetHashSet` (or an ordered `BTree*` collection).  Allowlist: exactly
 //!   the file that defines the deterministic aliases.
 //! * **D2** `no-wall-clock` / `no-raw-spawn` — `Instant::now`/`SystemTime`
-//!   only in the benchmark layer (`crates/bench`) plus the one diagnostic
-//!   timestamp in `crates/asym/src/cost.rs`; thread creation only inside
-//!   the pool (`vendor/rayon`).
+//!   only in the one diagnostic timestamp in `crates/asym/src/cost.rs`
+//!   (the bench bins time through its `CostReport::elapsed`); thread
+//!   creation only inside the pool (`vendor/rayon`).
 //! * **U1** `safety-comment` — every `unsafe` token (block, fn, impl, or
 //!   fn-pointer type) must be preceded by a comment containing `SAFETY:`
 //!   with no `;`, `{`, `}` or `,` between the comment and the keyword.
@@ -145,10 +145,9 @@ fn rule_d1_det_hash(rel: &str, code: &[CodeTok], findings: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 fn d2_clock_allowed(rel: &str) -> bool {
-    rel.starts_with("crates/bench/")
-        // One diagnostic `elapsed` field in the cost report; never feeds a
-        // counter or a layout decision (asserted by cost_model_claims).
-        || rel == "crates/asym/src/cost.rs"
+    // One diagnostic `elapsed` field in the cost report; never feeds a
+    // counter or a layout decision (asserted by cost_model_claims).
+    rel == "crates/asym/src/cost.rs"
 }
 
 fn d2_spawn_allowed(rel: &str) -> bool {
@@ -163,7 +162,7 @@ fn rule_d2_wall_clock_and_spawn(rel: &str, code: &[CodeTok], findings: &mut Vec<
                     file: rel.to_string(),
                     line: tok.line,
                     rule: "D2",
-                    message: "wall-clock (Instant::now) outside the benchmark layer; \
+                    message: "wall-clock (Instant::now) outside the cost report; \
                               counters and layouts must not depend on time"
                         .to_string(),
                 });
@@ -173,7 +172,7 @@ fn rule_d2_wall_clock_and_spawn(rel: &str, code: &[CodeTok], findings: &mut Vec<
                     file: rel.to_string(),
                     line: tok.line,
                     rule: "D2",
-                    message: "wall-clock (SystemTime) outside the benchmark layer; \
+                    message: "wall-clock (SystemTime) outside the cost report; \
                               counters and layouts must not depend on time"
                         .to_string(),
                 });

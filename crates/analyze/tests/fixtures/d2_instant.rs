@@ -1,4 +1,4 @@
-// Fixture: trips D2 (and only D2) — wall-clock outside the benchmark layer.
+// Fixture: trips D2 (and only D2) — wall-clock outside the cost report.
 use std::time::Instant;
 
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {

@@ -55,6 +55,19 @@ fn d2_instant_fixture_trips_only_d2() {
         .all(|f| f.message.contains("wall-clock")));
 }
 
+/// The bench bins time through `CostReport::elapsed`, so a clock read in
+/// one of them is a finding like anywhere else.
+#[test]
+fn d2_instant_in_a_bench_bin_is_flagged() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/d2_instant.rs");
+    let src = std::fs::read_to_string(path).expect("fixture readable");
+    let findings = check_file("crates/bench/src/bin/speedup.rs", &src);
+    assert!(
+        findings.iter().any(|f| f.rule == "D2"),
+        "expected a D2 finding, got {findings:?}"
+    );
+}
+
 #[test]
 fn d2_spawn_fixture_trips_only_d2() {
     assert_only_rule("d2_spawn.rs", "D2");

@@ -50,6 +50,13 @@
 //!   critical ancestor, which is exactly the `Θ(n log_α n)` augmentation
 //!   write bound of Theorem 7.2.
 //!
+//! The interval and range trees keep each node in two arenas indexed by the
+//! same slot: a compact **hot** record (key or split, `u32` children, flags;
+//! the range tree adds its main run's offset and length) that the query walk
+//! reads at every level, and a **cold** record (inner runs, leaf point,
+//! weights) that it reads only where it reports.  Their builders split both
+//! arenas at the same index, so each forked arm owns matching regions.
+//!
 //! Depth composes over the forks by max (the [`par_join`] span scopes of
 //! `pwe_asym`), and every forked task charges its recursion frames — plus
 //! the `O(α)` merge cursors on the range-tree path — to a small-memory
@@ -277,6 +284,31 @@ pub(crate) fn digest_idx(idx: usize) -> u64 {
         u64::MAX
     } else {
         idx as u64
+    }
+}
+
+/// "No child" in the `u32` slot fields of the interval and range trees'
+/// hot node records.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Narrow an arena slot (or a run offset) to the `u32` a hot node record
+/// stores.  Panics instead of truncating once an arena outgrows `u32`.
+#[inline]
+pub(crate) fn slot(idx: usize) -> u32 {
+    match u32::try_from(idx) {
+        Ok(s) if s != NONE => s,
+        _ => panic!("arena index {idx} does not fit the u32 hot node records"),
+    }
+}
+
+/// Encode a hot-record slot for digesting: [`NONE`] folds as `u64::MAX`,
+/// so a slot digests like the same index does through [`digest_idx`].
+#[inline]
+pub(crate) fn digest_slot(s: u32) -> u64 {
+    if s == NONE {
+        u64::MAX
+    } else {
+        s as u64
     }
 }
 

@@ -36,22 +36,24 @@
 //! [`crate::range_tree`], replacing the per-node B-trees.  Queries scan
 //! contiguous memory; the ARAM charges (one read per reported interval plus
 //! one failed probe per visited node) are those of the B-tree walk they
-//! replace.  A [`BlockedTree`] descent cache over the skeleton (built at
-//! build-finalize, dropped on shape changes and post-build attachments,
-//! kept across deletes) serves stabbing descents from blocked-local keys.
+//! replace.
+//!
+//! **Node arenas.**  Each node lives in two vectors indexed by the same
+//! slot (`lo + (hi-lo)/2` for the key range `[lo, hi)`): a 24-byte hot
+//! `Node` (key, `u32` children, one non-empty flag per side) that the
+//! stabbing walk reads at every level, and a cold `Cold` (the two sides'
+//! runs, weights) that it reads only on a side with something to report.
+//! Updates write both in step.
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_asym::depth;
 use pwe_geom::interval::Interval;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
 use pwe_primitives::racecheck;
 use pwe_primitives::search::{branchless_partition_point, branchless_search_by_key};
 use pwe_sort_shim::sort_f64_keys;
 
 use crate::alpha::is_critical_weight;
-
-/// Sentinel for "no child".
-const EMPTY: usize = usize::MAX;
+use crate::engine::{digest_slot, slot, NONE};
 
 /// Map an `f64` to a `u64` whose natural order matches the float's total
 /// order (sign-magnitude flip), so BTreeMap keys and integer sorts can be
@@ -211,24 +213,39 @@ fn remove_side(side: &mut StabSide, arena: &[StabEntry], key: (u64, u64)) -> boo
     }
 }
 
-/// Hot descent fields of the blocked stabbing cache: the node's key plus
-/// emptiness flags for both sides, so descents touch the cold node record
-/// only when there is something to report.  The flags are conservative
-/// under deletes (a flagged side may have become empty — harmless); any
-/// post-build attachment drops the cache instead.
-#[derive(Debug, Clone, Copy)]
-struct StabHot {
+/// The hot half of a node: what the stabbing walk reads at every level.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
     key: f64,
-    /// Bit 0: by-left side non-empty; bit 1: by-right side non-empty.
+    left: u32,
+    right: u32,
+    /// [`LEFT_SIDE`] | [`RIGHT_SIDE`]: which of the cold sides hold
+    /// intervals ([`side_flags`]).
     flags: u8,
 }
 
-/// One node of the interval tree.
+/// The by-left side of the node's cold record is non-empty.
+const LEFT_SIDE: u8 = 1;
+/// The by-right side of the node's cold record is non-empty.
+const RIGHT_SIDE: u8 = 2;
+
+const _: () = assert!(std::mem::size_of::<Node>() <= 32);
+
+impl Node {
+    fn new(key: f64) -> Self {
+        Node {
+            key,
+            left: NONE,
+            right: NONE,
+            flags: 0,
+        }
+    }
+}
+
+/// The cold half of a node: its stored intervals and balance information,
+/// read by the stabbing walk only on a side flagged non-empty.
 #[derive(Debug, Clone, Default)]
-struct Node {
-    key: f64,
-    left: usize,
-    right: usize,
+struct Cold {
     /// Intervals covering `key`, ordered by left endpoint (ascending).
     by_left: StabSide,
     /// The same intervals, ordered by right endpoint (ascending; queries scan
@@ -243,19 +260,22 @@ struct Node {
     critical: bool,
 }
 
-impl Node {
-    fn new(key: f64) -> Self {
-        Node {
-            key,
-            left: EMPTY,
-            right: EMPTY,
-            ..Default::default()
-        }
-    }
-
+impl Cold {
     fn stored(&self) -> usize {
         self.by_left.len()
     }
+}
+
+/// The hot flags of a node whose cold record is `cold`.
+fn side_flags(cold: &Cold) -> u8 {
+    let mut flags = 0;
+    if !cold.by_left.is_side_empty() {
+        flags |= LEFT_SIDE;
+    }
+    if !cold.by_right.is_side_empty() {
+        flags |= RIGHT_SIDE;
+    }
+    flags
 }
 
 /// Statistics for one update, used by the experiments to verify the
@@ -273,8 +293,11 @@ pub struct UpdateStats {
 /// A dynamic interval tree with α-labeling.
 #[derive(Debug, Clone)]
 pub struct IntervalTree {
+    /// Hot node records.
     nodes: Vec<Node>,
-    root: usize,
+    /// Cold node records, same slots as `nodes`.
+    cold: Vec<Cold>,
+    root: u32,
     alpha: usize,
     /// Number of stored (live) intervals.
     len: usize,
@@ -290,16 +313,26 @@ pub struct IntervalTree {
     left_arena: Vec<StabEntry>,
     /// Tree-wide by-right run arena (same packing).
     right_arena: Vec<StabEntry>,
-    /// Cache-conscious descent cache over the skeleton, rebuilt at
-    /// build-finalize; dropped on shape changes and post-build attachments,
-    /// kept across deletes (see [`StabHot`]).  Purely derived: never
-    /// digested, identical answers and charges on either path
-    /// ([`Self::stab_flat`] keeps the flat path callable for comparison).
-    blocked: Option<BlockedTree<StabHot>>,
 }
 
 impl IntervalTree {
     // -------------------------------------------------------------- builds
+
+    fn empty(alpha: usize, len: usize) -> Self {
+        assert!(alpha >= 2);
+        IntervalTree {
+            nodes: Vec::new(),
+            cold: Vec::new(),
+            root: NONE,
+            alpha,
+            len,
+            built_len: len,
+            deletions: 0,
+            rebuilds: 0,
+            left_arena: Vec::new(),
+            right_arena: Vec::new(),
+        }
+    }
 
     /// The classic construction: recursively split at the median endpoint,
     /// partitioning the interval set at every level — `Θ(n log n)` reads
@@ -308,31 +341,20 @@ impl IntervalTree {
     /// `Vec` allocations), but the model charges are the textbook
     /// algorithm's: one copied word per endpoint and per interval per level.
     pub fn build_classic(intervals: &[Interval], alpha: usize) -> Self {
-        assert!(alpha >= 2);
-        let mut tree = IntervalTree {
-            nodes: Vec::new(),
-            root: EMPTY,
-            alpha,
-            len: intervals.len(),
-            built_len: intervals.len(),
-            deletions: 0,
-            rebuilds: 0,
-            left_arena: Vec::new(),
-            right_arena: Vec::new(),
-            blocked: None,
-        };
+        let mut tree = Self::empty(alpha, intervals.len());
         tree.nodes.reserve(2 * intervals.len());
+        tree.cold.reserve(2 * intervals.len());
         let mut buf = intervals.to_vec();
         let mut endpoints = vec![0.0f64; 2 * intervals.len()];
         tree.root = tree.build_classic_rec(&mut buf, &mut endpoints);
-        tree.finalize_build();
+        tree.finalize_weights();
         depth::add(depth::log2_ceil(intervals.len().max(1)));
         tree
     }
 
-    fn build_classic_rec(&mut self, intervals: &mut [Interval], endpoints: &mut [f64]) -> usize {
+    fn build_classic_rec(&mut self, intervals: &mut [Interval], endpoints: &mut [f64]) -> u32 {
         if intervals.is_empty() {
-            return EMPTY;
+            return NONE;
         }
         let m = intervals.len();
         // Median of the 2m endpoints, selected in place in the scratch
@@ -353,31 +375,31 @@ impl IntervalTree {
             + crate::engine::partition_in_place(&mut intervals[left_end..], |s| s.contains(key));
         record_writes(m as u64);
 
-        let idx = self.nodes.len();
-        self.nodes.push(Node::new(key));
+        let idx = self.push_node(key);
         for &s in intervals[left_end..here_end].iter() {
-            self.attach_interval(idx, &s);
+            self.attach_interval(idx as usize, &s);
         }
         let l = self.build_classic_rec(&mut intervals[..left_end], endpoints);
         let r = {
             let (_, tail) = intervals.split_at_mut(here_end);
             self.build_classic_rec(tail, endpoints)
         };
-        self.nodes[idx].left = l;
-        self.nodes[idx].right = r;
+        self.nodes[idx as usize].left = l;
+        self.nodes[idx as usize].right = r;
         idx
     }
 
-    /// Shared build-finalize tail: weight/criticality pass plus the blocked
-    /// descent cache.
-    fn finalize_build(&mut self) {
-        self.finalize_weights();
-        self.rebuild_blocked();
+    /// Append an empty node with `key` to both arenas.
+    fn push_node(&mut self, key: f64) -> u32 {
+        let idx = slot(self.nodes.len());
+        self.nodes.push(Node::new(key));
+        self.cold.push(Cold::default());
+        idx
     }
 
     /// The post-sorted construction (Theorem 7.1) on the shared parallel
     /// engine of [`crate::engine`]: sort the left endpoints once, pre-size
-    /// the node arena (the node of key range `[lo, hi)` lives at slot
+    /// the node arenas (the node of key range `[lo, hi)` lives at slot
     /// `lo + (hi-lo)/2`, so every subtree owns a disjoint arena region
     /// computable by index arithmetic alone), then fork `par_join` recursion
     /// over disjoint `&mut` regions for the skeleton, the interval
@@ -395,19 +417,7 @@ impl IntervalTree {
         intervals: &[Interval],
         alpha: usize,
     ) -> (Self, crate::engine::AugBuildStats) {
-        assert!(alpha >= 2);
-        let mut tree = IntervalTree {
-            nodes: Vec::new(),
-            root: EMPTY,
-            alpha,
-            len: intervals.len(),
-            built_len: intervals.len(),
-            deletions: 0,
-            rebuilds: 0,
-            left_arena: Vec::new(),
-            right_arena: Vec::new(),
-            blocked: None,
-        };
+        let mut tree = Self::empty(alpha, intervals.len());
         if intervals.is_empty() {
             return (tree, crate::engine::AugBuildStats::default());
         }
@@ -423,11 +433,13 @@ impl IntervalTree {
         sorted.dedup();
         let m = sorted.len();
 
-        // 2. Balanced skeleton over a pre-sized arena, forked over disjoint
-        //    regions (O(m) writes, O(log m) span).
+        // 2. Balanced skeleton over a pre-sized hot arena (its slots must fit
+        //    the u32 child fields), forked over disjoint regions (O(m)
+        //    writes, O(log m) span).
         let mut nodes = vec![Node::default(); m];
+        let mut cold = vec![Cold::default(); m];
         skeleton_rec(&sorted, &mut nodes, 0, 0, &ledger);
-        tree.root = m / 2;
+        tree.root = slot(m / 2);
 
         // 3. Locate every interval's node (reads only, embarrassingly
         //    parallel), then group the intervals by destination node with a
@@ -458,6 +470,7 @@ impl IntervalTree {
         let mut right_arena = vec![filler; located.len()];
         attach_rec(
             &mut nodes,
+            &mut cold,
             0,
             &runs,
             &located,
@@ -469,17 +482,16 @@ impl IntervalTree {
             0,
         );
 
+        // 5. Weights + α-criticality, forked over the same regions.
+        finalize_rec(&mut cold, alpha, 0, &ledger);
+        cold[root as usize].critical = true;
+        record_writes(m as u64);
+        record_reads(m as u64);
+
         tree.nodes = nodes;
+        tree.cold = cold;
         tree.left_arena = left_arena;
         tree.right_arena = right_arena;
-
-        // 5. Weights + α-criticality, forked over the same regions.
-        finalize_rec(&mut tree.nodes, alpha, 0, &ledger);
-        tree.nodes[tree.root].critical = true;
-        record_writes(tree.nodes.len() as u64);
-        record_reads(tree.nodes.len() as u64);
-        tree.rebuild_blocked();
-
         depth::add(2 * depth::log2_ceil(intervals.len().max(2)));
         let stats = crate::engine::AugBuildStats {
             nodes: m,
@@ -495,17 +507,17 @@ impl IntervalTree {
     /// layout as bit-identical across thread counts and processes.
     pub fn layout_digest(&self) -> u64 {
         let mut d = crate::engine::Digest::new();
-        d.word(crate::engine::digest_idx(self.root));
-        for node in &self.nodes {
+        d.word(digest_slot(self.root));
+        for (node, cold) in self.nodes.iter().zip(&self.cold) {
             d.word(f64_key(node.key));
-            d.word(crate::engine::digest_idx(node.left));
-            d.word(crate::engine::digest_idx(node.right));
-            d.word(node.weight as u64);
-            d.word(node.critical as u64);
+            d.word(digest_slot(node.left));
+            d.word(digest_slot(node.right));
+            d.word(cold.weight as u64);
+            d.word(cold.critical as u64);
             // Fold the by-left entries in merged key order — the exact word
             // sequence the pre-flattening B-tree iteration produced.
-            let main = self.side_main(&node.by_left, &self.left_arena);
-            let extra = &node.by_left.extra;
+            let main = self.side_main(&cold.by_left, &self.left_arena);
+            let extra = &cold.by_left.extra;
             let (mut i, mut j) = (0, 0);
             while i < main.len() || j < extra.len() {
                 let take_main = j >= extra.len() || (i < main.len() && main[i].0 < extra[j].0);
@@ -535,43 +547,41 @@ impl IntervalTree {
 
     fn attach_interval(&mut self, node: usize, s: &Interval) {
         record_writes(2);
-        // A post-build attachment can turn a side the blocked cache flagged
-        // empty into a non-empty one: drop the cache (builds re-create it).
-        self.blocked = None;
-        let nd = &mut self.nodes[node];
+        let cold = &mut self.cold[node];
         splice_side(
-            &mut nd.by_left,
+            &mut cold.by_left,
             &self.left_arena,
             (f64_key(s.left), s.id),
             *s,
         );
         splice_side(
-            &mut nd.by_right,
+            &mut cold.by_right,
             &self.right_arena,
             (f64_key(s.right), s.id),
             *s,
         );
+        self.nodes[node].flags = LEFT_SIDE | RIGHT_SIDE;
     }
 
     /// Recompute every subtree weight and the critical labeling (done after
     /// a construction or reconstruction; O(size) reads/writes, charged).
     fn finalize_weights(&mut self) {
-        fn rec(nodes: &mut Vec<Node>, v: usize, alpha: usize) -> usize {
-            if v == EMPTY {
+        fn rec(nodes: &[Node], cold: &mut [Cold], v: u32, alpha: usize) -> usize {
+            if v == NONE {
                 return 1;
             }
+            let v = v as usize;
             let (l, r) = (nodes[v].left, nodes[v].right);
-            let w = nodes[v].stored() + rec(nodes, l, alpha) + rec(nodes, r, alpha);
-            nodes[v].weight = w;
-            nodes[v].initial_weight = w;
-            nodes[v].critical = is_critical_weight(w, alpha);
+            let w = cold[v].stored() + rec(nodes, cold, l, alpha) + rec(nodes, cold, r, alpha);
+            cold[v].weight = w;
+            cold[v].initial_weight = w;
+            cold[v].critical = is_critical_weight(w, alpha);
             w
         }
-        if self.root != EMPTY {
-            let alpha = self.alpha;
-            rec(&mut self.nodes, self.root, alpha);
+        if self.root != NONE {
+            rec(&self.nodes, &mut self.cold, self.root, self.alpha);
             // The root is always treated as (virtually) critical.
-            self.nodes[self.root].critical = true;
+            self.cold[self.root as usize].critical = true;
             record_writes(self.nodes.len() as u64);
             record_reads(self.nodes.len() as u64);
         }
@@ -596,11 +606,12 @@ impl IntervalTree {
 
     /// Height of the tree (diagnostic, not charged).
     pub fn height(&self) -> usize {
-        fn rec(nodes: &[Node], v: usize) -> usize {
-            if v == EMPTY {
+        fn rec(nodes: &[Node], v: u32) -> usize {
+            if v == NONE {
                 0
             } else {
-                1 + rec(nodes, nodes[v].left).max(rec(nodes, nodes[v].right))
+                let node = &nodes[v as usize];
+                1 + rec(nodes, node.left).max(rec(nodes, node.right))
             }
         }
         rec(&self.nodes, self.root)
@@ -608,7 +619,7 @@ impl IntervalTree {
 
     /// Number of critical nodes (diagnostic).
     pub fn critical_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.critical).count()
+        self.cold.iter().filter(|n| n.critical).count()
     }
 
     /// 1D stabbing query: ids of all stored intervals containing `x`,
@@ -630,11 +641,6 @@ impl IntervalTree {
     /// descent, `O(log n)` on a post-sorted (balanced) tree — against a
     /// small-memory ledger via `scratch`.  The reported intervals
     /// themselves are output writes to the large memory, not scratch.
-    ///
-    /// Descends the [`BlockedTree`] cache when one is live (built by the
-    /// constructions, dropped by post-build attachments), the flat arena
-    /// otherwise.  Both paths visit the same logical nodes and charge
-    /// identical ARAM reads (pinned by `tests/layout_equiv.rs`).
     pub fn stab_into(
         &self,
         x: f64,
@@ -642,33 +648,20 @@ impl IntervalTree {
         out: &mut Vec<u64>,
     ) {
         let start = out.len();
-        let levels = match &self.blocked {
-            Some(b) if b.root() != NO_NODE => self.stab_blocked_walk(b, x, scratch, out),
-            _ => self.stab_flat_walk(x, scratch, out),
-        };
+        let levels = self.stab_walk(x, scratch, out);
         // The path is released when the descent ends, so a guard reused
         // across queries sees each descent's peak, not their sum.
         scratch.free(levels);
         record_writes((out.len() - start) as u64);
     }
 
-    /// [`IntervalTree::stab`] forced onto the flat (pre-blocked) descent —
-    /// the live "before" side of the query benchmarks.  Identical answers
-    /// and ARAM charges to the blocked path.
-    pub fn stab_flat(&self, x: f64) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut scratch = pwe_asym::smallmem::TaskScratch::untracked();
-        let levels = self.stab_flat_walk(x, &mut scratch, &mut out);
-        scratch.free(levels);
-        record_writes(out.len() as u64);
-        out.sort_unstable();
-        out
-    }
-
-    /// The flat root-to-leaf stabbing descent; returns the path length
-    /// (scratch words still held).  Charges its reads — one per level plus
-    /// each node's report scan — once, when the descent ends.
-    fn stab_flat_walk(
+    /// The root-to-leaf stabbing descent; returns the path length (scratch
+    /// words still held).  Direction decisions read the hot record; a side
+    /// is scanned from the cold record only when its flag says it holds
+    /// intervals, and an empty side still charges the failed-probe read the
+    /// scan would.  Charges its reads — one per level plus each node's
+    /// report scan — once, when the descent ends.
+    fn stab_walk(
         &self,
         x: f64,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
@@ -677,15 +670,23 @@ impl IntervalTree {
         let mut cur = self.root;
         let mut levels = 0u64;
         let mut reads = 0u64;
-        while cur != EMPTY {
+        while cur != NONE {
             scratch.alloc(1);
             levels += 1;
-            let node = &self.nodes[cur];
+            let node = &self.nodes[cur as usize];
             if x <= node.key {
-                reads += self.report_left(node, x, out);
-                cur = if x < node.key { node.left } else { EMPTY };
+                reads += if node.flags & LEFT_SIDE != 0 {
+                    self.report_left(&self.cold[cur as usize], x, out)
+                } else {
+                    1
+                };
+                cur = if x < node.key { node.left } else { NONE };
             } else {
-                reads += self.report_right(node, x, out);
+                reads += if node.flags & RIGHT_SIDE != 0 {
+                    self.report_right(&self.cold[cur as usize], x, out)
+                } else {
+                    1
+                };
                 cur = node.right;
             }
         }
@@ -693,57 +694,18 @@ impl IntervalTree {
         levels
     }
 
-    /// The same descent over the blocked cache: direction decisions read the
-    /// blocked-local key, and the emptiness flags skip the cold node record
-    /// when there is nothing to report (the failed-probe read is still
-    /// charged, keeping the counters identical to the flat walk).
-    fn stab_blocked_walk(
-        &self,
-        b: &BlockedTree<StabHot>,
-        x: f64,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-        out: &mut Vec<u64>,
-    ) -> u64 {
-        let mut cur = b.root();
-        let mut levels = 0u64;
-        let mut reads = 0u64;
-        while cur != NO_NODE {
-            scratch.alloc(1);
-            levels += 1;
-            let bn = b.node(cur);
-            let hot = bn.payload;
-            if x <= hot.key {
-                reads += if hot.flags & 1 != 0 {
-                    self.report_left(&self.nodes[bn.orig as usize], x, out)
-                } else {
-                    1 // the failed probe of the (flagged-)empty side
-                };
-                cur = if x < hot.key { bn.left } else { NO_NODE };
-            } else {
-                reads += if hot.flags & 2 != 0 {
-                    self.report_right(&self.nodes[bn.orig as usize], x, out)
-                } else {
-                    1
-                };
-                cur = bn.right;
-            }
-        }
-        record_reads(levels + reads);
-        levels
-    }
-
-    /// Report `node`'s intervals with left endpoint ≤ `x` (all of them
+    /// Report the node's intervals with left endpoint ≤ `x` (all of them
     /// contain `x` because every stored interval covers `node.key ≥ x`):
     /// scan the main run then the overflow run, each sorted ascending by
     /// left endpoint.  Returns the scan's read charge — one per reported
     /// interval plus exactly one failed-probe read for the scan's end, the
     /// charge of the inner-walk this flat scan replaces — for the caller to
     /// record once.
-    fn report_left(&self, node: &Node, x: f64, out: &mut Vec<u64>) -> u64 {
+    fn report_left(&self, cold: &Cold, x: f64, out: &mut Vec<u64>) -> u64 {
         let bound = f64_key(x);
         let start = out.len();
-        let main = self.side_main(&node.by_left, &self.left_arena);
-        for run in [main, node.by_left.extra.as_slice()] {
+        let main = self.side_main(&cold.by_left, &self.left_arena);
+        for run in [main, cold.by_left.extra.as_slice()] {
             out.extend(run.iter().take_while(|e| e.0 .0 <= bound).map(|&(_, s)| {
                 debug_assert!(s.contains(x));
                 s.id
@@ -752,13 +714,13 @@ impl IntervalTree {
         (out.len() - start) as u64 + 1
     }
 
-    /// Report `node`'s intervals with right endpoint ≥ `x` (mirror of
+    /// Report the node's intervals with right endpoint ≥ `x` (mirror of
     /// [`Self::report_left`]): scan each run from the back.
-    fn report_right(&self, node: &Node, x: f64, out: &mut Vec<u64>) -> u64 {
+    fn report_right(&self, cold: &Cold, x: f64, out: &mut Vec<u64>) -> u64 {
         let bound = f64_key(x);
         let start = out.len();
-        let main = self.side_main(&node.by_right, &self.right_arena);
-        for run in [main, node.by_right.extra.as_slice()] {
+        let main = self.side_main(&cold.by_right, &self.right_arena);
+        for run in [main, cold.by_right.extra.as_slice()] {
             out.extend(
                 run.iter()
                     .rev()
@@ -772,26 +734,6 @@ impl IntervalTree {
         (out.len() - start) as u64 + 1
     }
 
-    /// (Re)build the blocked descent cache from the current skeleton.
-    /// Purely derived, uncharged physical-layout maintenance (MODEL.md §5).
-    fn rebuild_blocked(&mut self) {
-        if self.root == EMPTY {
-            self.blocked = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        self.blocked = Some(BlockedTree::build(
-            nodes.len(),
-            self.root,
-            |v| (nodes[v].left, nodes[v].right),
-            |v| StabHot {
-                key: nodes[v].key,
-                flags: u8::from(!nodes[v].by_left.is_side_empty())
-                    | (u8::from(!nodes[v].by_right.is_side_empty()) << 1),
-            },
-        ));
-    }
-
     // ------------------------------------------------------------- updates
 
     /// Insert an interval.  Writes `O(log_α n)` balance words plus `O(1)` for
@@ -803,55 +745,54 @@ impl IntervalTree {
 
         // Walk down, remembering the path, to the node that stores `s`.
         let mut path = Vec::new();
-        let target = if self.root == EMPTY {
-            self.root = self.nodes.len();
-            self.nodes.push(Node::new(s.left));
+        let target = if self.root == NONE {
+            self.root = self.push_node(s.left);
             record_writes(1);
-            self.nodes[self.root].critical = true;
-            self.nodes[self.root].weight = 1;
-            self.nodes[self.root].initial_weight = 1;
-            self.root
+            let cold = &mut self.cold[self.root as usize];
+            cold.critical = true;
+            cold.weight = 1;
+            cold.initial_weight = 1;
+            self.root as usize
         } else {
-            let mut cur = self.root;
+            let mut cur = self.root as usize;
             loop {
                 path.push(cur);
                 stats.path_nodes += 1;
                 record_read();
-                let key = self.nodes[cur].key;
-                if s.contains(key) {
+                let node = self.nodes[cur];
+                if s.contains(node.key) {
                     break cur;
                 }
-                let next = if s.right < key {
-                    self.nodes[cur].left
+                let next = if s.right < node.key {
+                    node.left
                 } else {
-                    self.nodes[cur].right
+                    node.right
                 };
-                if next == EMPTY {
-                    let idx = self.nodes.len();
-                    let mut node = Node::new(s.left);
+                if next == NONE {
+                    let idx = self.push_node(s.left);
                     // A fresh leaf has weight 2 and is always critical.
-                    node.weight = 2;
-                    node.initial_weight = 2;
-                    node.critical = true;
-                    self.nodes.push(node);
+                    let cold = &mut self.cold[idx as usize];
+                    cold.weight = 2;
+                    cold.initial_weight = 2;
+                    cold.critical = true;
                     record_writes(2);
-                    if s.right < key {
+                    if s.right < node.key {
                         self.nodes[cur].left = idx;
                     } else {
                         self.nodes[cur].right = idx;
                     }
-                    path.push(idx);
-                    break idx;
+                    path.push(idx as usize);
+                    break idx as usize;
                 }
-                cur = next;
+                cur = next as usize;
             }
         };
         self.attach_interval(target, s);
 
         // Update balance information on the critical nodes of the path only.
         for &v in &path {
-            if self.nodes[v].critical {
-                self.nodes[v].weight += 1;
+            if self.cold[v].critical {
+                self.cold[v].weight += 1;
                 record_writes(1);
                 stats.critical_touched += 1;
             }
@@ -859,8 +800,8 @@ impl IntervalTree {
 
         // Rebuild the topmost critical subtree that has doubled in weight.
         if let Some(&v) = path.iter().find(|&&v| {
-            self.nodes[v].critical
-                && self.nodes[v].weight >= 2 * self.nodes[v].initial_weight.max(2)
+            let cold = &self.cold[v];
+            cold.critical && cold.weight >= 2 * cold.initial_weight.max(2)
         }) {
             self.rebuild_subtree(v, &path);
             stats.rebuilt = true;
@@ -873,47 +814,45 @@ impl IntervalTree {
     /// whole tree is rebuilt once half of the intervals present at the last
     /// construction have been deleted.
     pub fn delete(&mut self, s: &Interval) -> bool {
-        if self.root == EMPTY {
+        if self.root == NONE {
             return false;
         }
         let mut path = Vec::new();
-        let mut cur = self.root;
+        let mut cur = self.root as usize;
         let found = loop {
             path.push(cur);
             record_read();
-            let key = self.nodes[cur].key;
-            if s.contains(key) {
+            let node = &self.nodes[cur];
+            if s.contains(node.key) {
                 break cur;
             }
-            let next = if s.right < key {
-                self.nodes[cur].left
+            let next = if s.right < node.key {
+                node.left
             } else {
-                self.nodes[cur].right
+                node.right
             };
-            if next == EMPTY {
+            if next == NONE {
                 return false;
             }
-            cur = next;
+            cur = next as usize;
         };
-        // The blocked cache survives deletes: its emptiness flags are
-        // conservative (a flagged side scanning empty runs charges the same
-        // failed probe the flat walk charges).
-        let nd = &mut self.nodes[found];
-        let removed = remove_side(&mut nd.by_left, &self.left_arena, (f64_key(s.left), s.id));
+        let cold = &mut self.cold[found];
+        let removed = remove_side(&mut cold.by_left, &self.left_arena, (f64_key(s.left), s.id));
         if !removed {
             return false;
         }
         remove_side(
-            &mut nd.by_right,
+            &mut cold.by_right,
             &self.right_arena,
             (f64_key(s.right), s.id),
         );
+        self.nodes[found].flags = side_flags(cold);
         record_writes(2);
         self.len -= 1;
         self.deletions += 1;
         for &v in &path {
-            if self.nodes[v].critical {
-                self.nodes[v].weight = self.nodes[v].weight.saturating_sub(1);
+            if self.cold[v].critical {
+                self.cold[v].weight = self.cold[v].weight.saturating_sub(1);
                 record_writes(1);
             }
         }
@@ -926,21 +865,22 @@ impl IntervalTree {
         true
     }
 
-    fn collect_subtree(&self, v: usize, out: &mut Vec<Interval>) {
-        if v == EMPTY {
+    fn collect_subtree(&self, v: u32, out: &mut Vec<Interval>) {
+        if v == NONE {
             return;
         }
         record_read();
         // Main run then overflow run; rebuilds re-sort the endpoints, so the
         // collection order does not influence the rebuilt layout.
-        let node = &self.nodes[v];
-        for &(_, s) in self.side_main(&node.by_left, &self.left_arena) {
+        let cold = &self.cold[v as usize];
+        for &(_, s) in self.side_main(&cold.by_left, &self.left_arena) {
             out.push(s);
         }
-        for &(_, s) in &node.by_left.extra {
+        for &(_, s) in &cold.by_left.extra {
             out.push(s);
         }
-        record_reads(node.by_left.len() as u64);
+        record_reads(cold.by_left.len() as u64);
+        let node = &self.nodes[v as usize];
         self.collect_subtree(node.left, out);
         self.collect_subtree(node.right, out);
     }
@@ -955,44 +895,45 @@ impl IntervalTree {
     fn rebuild_subtree(&mut self, v: usize, path: &[usize]) {
         self.rebuilds += 1;
         let mut intervals = Vec::new();
-        self.collect_subtree(v, &mut intervals);
+        self.collect_subtree(slot(v), &mut intervals);
         let rebuilt = IntervalTree::build_parallel(&intervals, self.alpha);
         // Splice the rebuilt arenas into ours: nodes get remapped child
         // indices, arena-backed runs get their offsets shifted past our
-        // existing arena tails.  The subtree's shape changes, so the blocked
-        // cache is dropped (the triggering insert already dropped it; keep
-        // this self-contained).
-        self.blocked = None;
+        // existing arena tails.
         let loff = self.left_arena.len();
         let roff = self.right_arena.len();
         self.left_arena.extend_from_slice(&rebuilt.left_arena);
         self.right_arena.extend_from_slice(&rebuilt.right_arena);
-        let offset = self.nodes.len();
-        let remap = |idx: usize| if idx == EMPTY { EMPTY } else { idx + offset };
-        for mut node in rebuilt.nodes {
+        slot(self.nodes.len() + rebuilt.nodes.len());
+        let offset = slot(self.nodes.len());
+        let remap = |idx: u32| if idx == NONE { NONE } else { idx + offset };
+        for (mut node, mut cold) in rebuilt.nodes.into_iter().zip(rebuilt.cold) {
             node.left = remap(node.left);
             node.right = remap(node.right);
-            if node.by_left.base_len > 0 {
-                node.by_left.base_off += loff;
+            if cold.by_left.base_len > 0 {
+                cold.by_left.base_off += loff;
             }
-            if node.by_right.base_len > 0 {
-                node.by_right.base_off += roff;
+            if cold.by_right.base_len > 0 {
+                cold.by_right.base_off += roff;
             }
             self.nodes.push(node);
+            self.cold.push(cold);
         }
         let new_root = remap(rebuilt.root);
-        if new_root == EMPTY {
+        if new_root == NONE {
             // Nothing left below v: detach it by turning it into an empty leaf.
             self.nodes[v] = Node::new(self.nodes[v].key);
+            self.cold[v] = Cold::default();
             record_writes(1);
             return;
         }
-        let root_copy = self.nodes[new_root].clone();
-        self.nodes[v] = root_copy;
+        let new_root = new_root as usize;
+        self.nodes[v] = self.nodes[new_root];
+        self.cold[v] = self.cold[new_root].clone();
         record_writes(1);
         // If v was the overall root, also refresh the virtual-critical mark.
-        if path.first() == Some(&v) || v == self.root {
-            self.nodes[self.root].critical = true;
+        if path.first() == Some(&v) || v == self.root as usize {
+            self.cold[self.root as usize].critical = true;
         }
     }
 }
@@ -1017,12 +958,12 @@ fn skeleton_rec(
     let (lregion, rest) = region.split_at_mut(mid);
     let (node, rregion) = rest.split_first_mut().expect("non-empty region");
     *node = Node::new(f64_from_key(keys[offset + mid]));
-    node.left = if mid > 0 { offset + mid / 2 } else { EMPTY };
-    node.right = if m - mid - 1 > 0 {
-        offset + mid + 1 + (m - mid - 1) / 2
-    } else {
-        EMPTY
-    };
+    if mid > 0 {
+        node.left = slot(offset + mid / 2);
+    }
+    if m - mid - 1 > 0 {
+        node.right = slot(offset + mid + 1 + (m - mid - 1) / 2);
+    }
     record_writes(1);
     if m == 1 {
         ledger.observe_task(level + 2);
@@ -1050,21 +991,21 @@ fn skeleton_rec(
 /// Read-only descent to the highest node whose key `s` covers.  The skeleton
 /// holds every (deduplicated) left endpoint and `s` contains its own, so the
 /// descent follows the search path of `s.left` and always hits.
-fn locate_index(nodes: &[Node], root: usize, s: &Interval) -> usize {
+fn locate_index(nodes: &[Node], root: u32, s: &Interval) -> usize {
     let mut cur = root;
     loop {
         record_read();
-        let key = nodes[cur].key;
-        if s.contains(key) {
-            return cur;
+        let node = &nodes[cur as usize];
+        if s.contains(node.key) {
+            return cur as usize;
         }
-        cur = if s.right < key {
-            nodes[cur].left
+        cur = if s.right < node.key {
+            node.left
         } else {
-            nodes[cur].right
+            node.right
         };
         assert!(
-            cur != EMPTY,
+            cur != NONE,
             "left endpoints are present after dedup, so the descent cannot fall off"
         );
     }
@@ -1085,12 +1026,13 @@ fn runs_of(located: &[(u64, u32)]) -> Vec<(usize, usize, usize)> {
 
 /// Attach each run's intervals to its node, forking over disjoint node and
 /// run-arena regions (runs are sorted by node index and arena slot ==
-/// located slot, so a split of the run list maps to a `split_at_mut` of the
-/// node arena *and* of both run arenas).  `seg_off` is the global located
-/// index where this invocation's arena slices begin.
+/// located slot, so a split of the run list maps to a `split_at_mut` of
+/// both node arenas *and* of both run arenas).  `seg_off` is the global
+/// located index where this invocation's arena slices begin.
 #[allow(clippy::too_many_arguments)]
 fn attach_rec(
-    region: &mut [Node],
+    hot: &mut [Node],
+    region: &mut [Cold],
     offset: usize,
     runs: &[(usize, usize, usize)],
     located: &[(u64, u32)],
@@ -1126,6 +1068,7 @@ fn attach_rec(
                 base_len: end - start,
                 ..Default::default()
             };
+            hot[node - offset].flags = LEFT_SIDE | RIGHT_SIDE;
             record_writes(2 * (end - start) as u64);
         }
         ledger.observe_task(level + 3);
@@ -1137,6 +1080,7 @@ fn attach_rec(
     let cut = runs[half].1; // first located slot of the right half's runs
     let (lruns, rruns) = runs.split_at(half);
     let (lregion, rregion) = region.split_at_mut(boundary - offset);
+    let (lhot, rhot) = hot.split_at_mut(boundary - offset);
     let (l_larena, r_larena) = larena.split_at_mut(cut - seg_off);
     let (l_rarena, r_rarena) = rarena.split_at_mut(cut - seg_off);
     // racecheck: the early return above guarantees m is over the cutoff, so
@@ -1146,9 +1090,11 @@ fn attach_rec(
         m,
         || {
             let _claim = racecheck::claim_slice(&*lregion, "interval::attach_rec/left");
+            let _claim_h = racecheck::claim_slice(&*lhot, "interval::attach_rec/left-hot");
             let _claim_l = racecheck::claim_slice(&*l_larena, "interval::attach_rec/left-larena");
             let _claim_r = racecheck::claim_slice(&*l_rarena, "interval::attach_rec/left-rarena");
             attach_rec(
+                lhot,
                 lregion,
                 offset,
                 lruns,
@@ -1163,9 +1109,11 @@ fn attach_rec(
         },
         || {
             let _claim = racecheck::claim_slice(&*rregion, "interval::attach_rec/right");
+            let _claim_h = racecheck::claim_slice(&*rhot, "interval::attach_rec/right-hot");
             let _claim_l = racecheck::claim_slice(&*r_larena, "interval::attach_rec/right-larena");
             let _claim_r = racecheck::claim_slice(&*r_rarena, "interval::attach_rec/right-rarena");
             attach_rec(
+                rhot,
                 rregion,
                 boundary,
                 rruns,
@@ -1184,7 +1132,7 @@ fn attach_rec(
 /// Subtree weights and α-criticality over the arithmetic arena layout,
 /// forked over disjoint regions; returns the subtree weight.
 fn finalize_rec(
-    region: &mut [Node],
+    region: &mut [Cold],
     alpha: usize,
     level: u64,
     ledger: &pwe_asym::smallmem::SmallMem,

@@ -24,6 +24,13 @@
 //! run per node (`Inner::extra`) instead of rebalancing B-trees, and
 //! reconstructions rebuild the packed runs.
 //!
+//! The node arena is split in two vectors indexed by the same preorder
+//! slot: a 32-byte hot `RNode` (split key, `u32` children, the main run's
+//! place in the augmentation arena, kind flags) that the one query walk
+//! reads at every visited node, and a cold `RCold` (leaf point, owned and
+//! overflow runs, weights) that it reads only at a leaf or where a run is
+//! owned or has overflow.  Updates write both in step.
+//!
 //! Deletions are handled by tombstoning (the paper's "mark and rebuild when a
 //! constant fraction is dead") and insertions by leaf splitting plus
 //! reconstruction of any critical subtree whose weight has doubled.
@@ -34,7 +41,6 @@ use pwe_asym::smallmem::SmallMem;
 use pwe_geom::bbox::Rect;
 use pwe_geom::point::Point2;
 use pwe_primitives::hash::DetHashSet;
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
 use pwe_primitives::racecheck;
 use pwe_primitives::search::{
     branchless_partition_point, branchless_search_by_key, run_partition_point,
@@ -42,11 +48,10 @@ use pwe_primitives::search::{
 
 use crate::alpha::{is_critical_weight, is_critical_weight_uncharged};
 use crate::engine::{
-    digest_idx, join_grain, kway_merge_into, range_build_scratch_budget, AugBuildStats, Digest,
+    digest_slot, join_grain, kway_merge_into, range_build_scratch_budget, slot, AugBuildStats,
+    Digest, NONE,
 };
 use crate::interval::f64_key;
-
-const EMPTY: usize = usize::MAX;
 
 /// A stored point with its identifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,21 +69,17 @@ fn ykey(p: &RtPoint) -> (u64, u64) {
     (f64_key(p.point.y()), p.id)
 }
 
-/// A critical node's inner structure: a y-sorted **main run** — packed in
-/// the tree-wide augmentation arena right after construction, or owned by
-/// the node once updates have repacked it — plus a small y-sorted overflow
-/// run that absorbs post-build insertions (spliced in place — no per-node
-/// B-tree).  The overflow run is capped at ~`√(main)` words
+/// The cold half of a critical node's inner structure.  Its y-sorted **main
+/// run** is packed in the tree-wide augmentation arena right after
+/// construction (located by [`RNode::aug_off`] / [`RNode::aug_len`]), or
+/// owned by the node once updates have repacked it; a small y-sorted
+/// overflow run absorbs post-build insertions (spliced in place — no
+/// per-node B-tree).  The overflow run is capped at ~`√(main)` words
 /// ([`extra_cap`]): when a splice overflows the cap, main + overflow merge
 /// into a fresh owned run, so a single insert never moves more than
 /// `O(√m)` words and the repack cost amortizes to `O(√m)` per insert.
 #[derive(Debug, Clone, Default)]
 struct Inner {
-    /// Offset of the arena-backed main run in [`RangeTree2D::aug`].
-    base_off: usize,
-    /// Length of the arena-backed main run (0 once repacked or for
-    /// dynamically created nodes).
-    base_len: usize,
     /// Owned main run replacing the arena-backed one after the first
     /// repack (empty while the node is arena-backed).
     owned: Vec<RtPoint>,
@@ -111,12 +112,40 @@ fn merge_runs(a: &[RtPoint], b: &[RtPoint]) -> Vec<RtPoint> {
     out
 }
 
-#[derive(Debug, Clone, Default)]
+/// The hot half of an outer node: everything the query walk reads at every
+/// visited node.
+#[derive(Debug, Clone, Copy, Default)]
 struct RNode {
     /// Split value: left subtree holds x < split, right subtree x ≥ split.
     split: f64,
-    left: usize,
-    right: usize,
+    left: u32,
+    right: u32,
+    /// Offset of the arena-backed main run in [`RangeTree2D::aug`] (valid
+    /// while [`INNER`] is set; a repack zeroes `aug_len` but keeps this
+    /// offset, which `layout_digest` folds).
+    aug_off: u32,
+    /// Length of the arena-backed main run (0 once repacked, and for the
+    /// inner structures of the classic build and of inserted leaves).
+    aug_len: u32,
+    /// [`LEAF`] | [`INNER`] | [`COLD_RUN`], a function of the cold record
+    /// and `aug_len` ([`hot_flags`]).
+    flags: u8,
+}
+
+/// The node stores a leaf point ([`RCold::leaf`]).
+const LEAF: u8 = 1;
+/// The node carries an inner structure ([`RCold::inner`]).
+const INNER: u8 = 2;
+/// The inner structure's main run is owned, or its overflow run is not
+/// empty: reporting it reads the cold record.
+const COLD_RUN: u8 = 4;
+
+const _: () = assert!(std::mem::size_of::<RNode>() <= 40);
+
+/// The cold half of an outer node, read by the query walk only at leaves
+/// and at inner structures with [`COLD_RUN`] set.
+#[derive(Debug, Clone, Default)]
+struct RCold {
     /// The point stored here (leaves only).
     leaf: Option<RtPoint>,
     /// Inner structure — present only on critical nodes.
@@ -125,6 +154,22 @@ struct RNode {
     weight: usize,
     initial_weight: usize,
     critical: bool,
+}
+
+/// The hot flags of a node whose cold record is `cold` and whose
+/// arena-backed main run has `aug_len` points.
+fn hot_flags(cold: &RCold, aug_len: u32) -> u8 {
+    let mut flags = 0;
+    if cold.leaf.is_some() {
+        flags |= LEAF;
+    }
+    if let Some(inner) = &cold.inner {
+        flags |= INNER;
+        if aug_len == 0 || !inner.extra.is_empty() {
+            flags |= COLD_RUN;
+        }
+    }
+    flags
 }
 
 /// Per-update statistics (mirrors [`crate::interval::UpdateStats`]).
@@ -141,8 +186,11 @@ pub struct RtUpdateStats {
 /// A dynamic 2D range tree with α-labeled augmentation.
 #[derive(Debug, Clone)]
 pub struct RangeTree2D {
+    /// Hot node records, in preorder slots.
     nodes: Vec<RNode>,
-    root: usize,
+    /// Cold node records, same slots as `nodes`.
+    cold: Vec<RCold>,
+    root: u32,
     alpha: usize,
     live: usize,
     dead: usize,
@@ -154,54 +202,24 @@ pub struct RangeTree2D {
     deleted: DetHashSet<u64>,
     /// Number of reconstructions triggered by updates (diagnostic).
     pub rebuilds: u64,
-    /// Cache-conscious descent cache over the outer tree, rebuilt at
-    /// build-finalize and dropped on structural mutation (queries then fall
-    /// back to the flat arena).  Purely derived: never digested, and the
-    /// blocked descent charges the exact reads of the flat one
-    /// ([`Self::query_flat`] keeps the flat path callable for comparison).
-    blocked: Option<BlockedTree<RtHot>>,
-}
-
-/// The hot per-node words of the blocked descent: the split key, the
-/// node's kind, and — for arena-backed critical nodes — the main run's
-/// coordinates in the augmentation arena, so the report walk reaches every
-/// run straight from blocked storage and only touches the cold node arena
-/// at leaves (and at the rare non-arena-backed critical node).
-#[derive(Debug, Clone, Copy)]
-struct RtHot {
-    split: f64,
-    /// Main-run offset in [`RangeTree2D::aug`] (valid iff `kind` is
-    /// [`RtKind::Critical`]).
-    base_off: u32,
-    /// Main-run length (valid iff `kind` is [`RtKind::Critical`]).
-    base_len: u32,
-    kind: RtKind,
-    /// Whether the node stores a leaf point.  Separate from `kind` because
-    /// the two flat walks disagree on precedence: the *descent*
-    /// (`query_rec`) resolves a leaf-with-inner node as a leaf, while the
-    /// *report* walk (`report_y_range`) answers it from the inner run —
-    /// the blocked mirrors must reproduce both to stay charge-identical.
-    is_leaf: bool,
-}
-
-/// What a blocked node resolves to when *reported* (mirrors the
-/// `inner`-first precedence of [`RangeTree2D::report_y_range`]; valid as
-/// long as the cache is — the fields change only under mutations that drop
-/// it).  `Critical` is baked only when the node is arena-backed with an
-/// **empty overflow run** (the build-finalize state; any insert drops the
-/// cache), so skipping the overflow probe is charge-identical —
-/// `report_run` charges nothing on an empty run.  Any other inner state
-/// falls back to `CriticalCold`, which reads the node like the flat path
-/// does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RtKind {
-    Secondary,
-    Leaf,
-    Critical,
-    CriticalCold,
 }
 
 impl RangeTree2D {
+    fn empty(alpha: usize, live: usize) -> Self {
+        assert!(alpha >= 2, "α must be at least 2");
+        RangeTree2D {
+            nodes: Vec::new(),
+            cold: Vec::new(),
+            root: NONE,
+            alpha,
+            live,
+            dead: 0,
+            aug: Vec::new(),
+            deleted: DetHashSet::default(),
+            rebuilds: 0,
+        }
+    }
+
     /// Build a range tree over `points` with parameter `α ≥ 2` through the
     /// parallel engine (see the module docs for the layout).
     ///
@@ -216,18 +234,7 @@ impl RangeTree2D {
     /// small-memory ledger snapshot of the forked recursion, budgeted at
     /// [`crate::engine::range_build_scratch_budget`]).
     pub fn build_with_stats(points: &[RtPoint], alpha: usize) -> (Self, AugBuildStats) {
-        assert!(alpha >= 2, "α must be at least 2");
-        let mut tree = RangeTree2D {
-            nodes: Vec::new(),
-            root: EMPTY,
-            alpha,
-            live: points.len(),
-            dead: 0,
-            aug: Vec::new(),
-            deleted: DetHashSet::default(),
-            rebuilds: 0,
-            blocked: None,
-        };
+        let mut tree = Self::empty(alpha, points.len());
         if points.is_empty() {
             return (tree, AugBuildStats::default());
         }
@@ -238,23 +245,27 @@ impl RangeTree2D {
         record_reads(n as u64 * depth::log2_ceil(n.max(2)));
         record_writes(n as u64);
 
-        // Pre-size both arenas by index arithmetic alone, then fill them by
-        // forked recursion over disjoint regions.
+        // Pre-size the arenas by index arithmetic alone (both node slots and
+        // run offsets must fit the u32 hot records), then fill them by forked
+        // recursion over disjoint regions.
         let sizes = AugSizes::new(n, alpha);
         let aug_total = sizes.root_total(n);
+        slot(2 * n - 1);
+        slot(aug_total);
         let mut nodes = vec![RNode::default(); 2 * n - 1];
+        let mut cold = vec![RCold::default(); 2 * n - 1];
         let filler = RtPoint {
             point: Point2::xy(0.0, 0.0),
             id: 0,
         };
         let mut aug = vec![filler; aug_total];
         build_par_rec(
-            &sorted, &mut nodes, 0, &mut aug, 0, alpha, &sizes, true, 0, &ledger,
+            &sorted, &mut nodes, &mut cold, 0, &mut aug, 0, alpha, &sizes, true, 0, &ledger,
         );
         tree.nodes = nodes;
+        tree.cold = cold;
         tree.aug = aug;
         tree.root = 0;
-        tree.rebuild_blocked();
         depth::add(2 * depth::log2_ceil(n.max(2)));
         let stats = AugBuildStats {
             nodes: 2 * n - 1,
@@ -272,18 +283,7 @@ impl RangeTree2D {
     /// node is critical).  Queries and updates behave identically to the
     /// engine-built tree; only the construction cost profile differs.
     pub fn build_classic(points: &[RtPoint], alpha: usize) -> Self {
-        assert!(alpha >= 2, "α must be at least 2");
-        let mut tree = RangeTree2D {
-            nodes: Vec::new(),
-            root: EMPTY,
-            alpha,
-            live: points.len(),
-            dead: 0,
-            aug: Vec::new(),
-            deleted: DetHashSet::default(),
-            rebuilds: 0,
-            blocked: None,
-        };
+        let mut tree = Self::empty(alpha, points.len());
         if points.is_empty() {
             return tree;
         }
@@ -292,46 +292,50 @@ impl RangeTree2D {
         record_reads(points.len() as u64 * depth::log2_ceil(points.len().max(2)));
         record_writes(points.len() as u64);
         tree.root = tree.build_classic_rec(&sorted);
-        tree.rebuild_blocked();
         depth::add(depth::log2_ceil(points.len()));
         tree
     }
 
-    fn build_classic_rec(&mut self, sorted: &[RtPoint]) -> usize {
+    /// Append one node to both arenas, deriving its hot flags.
+    fn push_node(&mut self, mut hot: RNode, cold: RCold) -> u32 {
+        let idx = slot(self.nodes.len());
+        hot.flags = hot_flags(&cold, hot.aug_len);
+        self.nodes.push(hot);
+        self.cold.push(cold);
+        idx
+    }
+
+    /// Re-derive the hot flags of slot `v` after its cold record changed.
+    fn sync_flags(&mut self, v: usize) {
+        self.nodes[v].flags = hot_flags(&self.cold[v], self.nodes[v].aug_len);
+    }
+
+    fn build_classic_rec(&mut self, sorted: &[RtPoint]) -> u32 {
         let n = sorted.len();
         debug_assert!(n > 0);
-        let idx = self.nodes.len();
-        self.nodes.push(RNode::default());
         record_writes(1);
         if n == 1 {
-            let node = &mut self.nodes[idx];
-            node.leaf = Some(sorted[0]);
-            node.split = sorted[0].point.x();
-            node.left = EMPTY;
-            node.right = EMPTY;
-            node.weight = 2;
-            node.initial_weight = 2;
-            node.critical = true; // weight 2 is always critical
-            node.inner = Some(Inner {
-                owned: vec![sorted[0]],
-                ..Inner::default()
-            });
             record_writes(1);
-            return idx;
+            return self.push_leaf(sorted[0]);
         }
+        let idx = self.push_node(RNode::default(), RCold::default());
         let mid = n / 2;
         let split = sorted[mid].point.x();
         let l = self.build_classic_rec(&sorted[..mid]);
         let r = self.build_classic_rec(&sorted[mid..]);
         let weight = n + 1;
         let critical = is_critical_weight(weight, self.alpha) || idx == 0;
-        let node = &mut self.nodes[idx];
-        node.split = split;
-        node.left = l;
-        node.right = r;
-        node.weight = weight;
-        node.initial_weight = weight;
-        node.critical = critical;
+        let v = idx as usize;
+        self.nodes[v] = RNode {
+            split,
+            left: l,
+            right: r,
+            ..RNode::default()
+        };
+        let cold = &mut self.cold[v];
+        cold.weight = weight;
+        cold.initial_weight = weight;
+        cold.critical = critical;
         if critical {
             // Copy the subtree's points into a fresh per-node run and sort
             // it by y — the per-critical-level copy the engine eliminates.
@@ -339,11 +343,12 @@ impl RangeTree2D {
             run.sort_by_key(ykey);
             record_reads(n as u64 * depth::log2_ceil(n.max(2)));
             record_writes(n as u64);
-            self.nodes[idx].inner = Some(Inner {
+            cold.inner = Some(Inner {
                 owned: run,
                 ..Inner::default()
             });
         }
+        self.sync_flags(v);
         idx
     }
 
@@ -364,7 +369,7 @@ impl RangeTree2D {
 
     /// Number of critical nodes carrying inner structures (diagnostic).
     pub fn critical_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.critical).count()
+        self.cold.iter().filter(|n| n.critical).count()
     }
 
     /// Total size of all inner structures — the augmentation footprint that
@@ -372,10 +377,11 @@ impl RangeTree2D {
     pub fn augmentation_size(&self) -> usize {
         self.nodes
             .iter()
-            .filter_map(|n| {
-                n.inner
+            .zip(&self.cold)
+            .filter_map(|(hot, cold)| {
+                cold.inner
                     .as_ref()
-                    .map(|i| i.base_len + i.owned.len() + i.extra.len())
+                    .map(|i| hot.aug_len as usize + i.owned.len() + i.extra.len())
             })
             .sum()
     }
@@ -386,18 +392,18 @@ impl RangeTree2D {
     /// layout as bit-identical across thread counts and processes.
     pub fn layout_digest(&self) -> u64 {
         let mut d = Digest::new();
-        d.word(digest_idx(self.root));
-        for node in &self.nodes {
-            d.word(f64_key(node.split));
-            d.word(digest_idx(node.left));
-            d.word(digest_idx(node.right));
-            d.word(node.leaf.map_or(u64::MAX, |p| p.id));
-            d.word(node.weight as u64);
-            d.word(node.critical as u64);
-            match &node.inner {
+        d.word(digest_slot(self.root));
+        for (hot, cold) in self.nodes.iter().zip(&self.cold) {
+            d.word(f64_key(hot.split));
+            d.word(digest_slot(hot.left));
+            d.word(digest_slot(hot.right));
+            d.word(cold.leaf.map_or(u64::MAX, |p| p.id));
+            d.word(cold.weight as u64);
+            d.word(cold.critical as u64);
+            match &cold.inner {
                 Some(inner) => {
-                    d.word(inner.base_off as u64);
-                    d.word(inner.base_len as u64);
+                    d.word(hot.aug_off as u64);
+                    d.word(hot.aug_len as u64);
                     for p in inner.owned.iter().chain(&inner.extra) {
                         d.word(p.id);
                     }
@@ -413,59 +419,7 @@ impl RangeTree2D {
         d.finish()
     }
 
-    /// Rebuild the blocked descent cache from the current (reachable) outer
-    /// tree.  A pure function of the tree shape, so the cache is as
-    /// deterministic as the arena it mirrors; uncharged physical layout
-    /// (MODEL.md "Cache cost vs. ARAM cost").
-    fn rebuild_blocked(&mut self) {
-        if self.root == EMPTY {
-            self.blocked = None;
-            return;
-        }
-        let nodes = &self.nodes;
-        let bt = BlockedTree::build(
-            nodes.len(),
-            self.root,
-            |v| (nodes[v].left, nodes[v].right),
-            |v| {
-                let node = &nodes[v];
-                let (kind, base_off, base_len) = if let Some(inner) = &node.inner {
-                    if inner.extra.is_empty()
-                        && inner.base_len > 0
-                        && inner.base_off <= u32::MAX as usize
-                        && inner.base_len <= u32::MAX as usize
-                    {
-                        (
-                            RtKind::Critical,
-                            inner.base_off as u32,
-                            inner.base_len as u32,
-                        )
-                    } else {
-                        (RtKind::CriticalCold, 0, 0)
-                    }
-                } else if node.leaf.is_some() {
-                    (RtKind::Leaf, 0, 0)
-                } else {
-                    (RtKind::Secondary, 0, 0)
-                };
-                RtHot {
-                    split: node.split,
-                    base_off,
-                    base_len,
-                    kind,
-                    is_leaf: node.leaf.is_some(),
-                }
-            },
-        );
-        self.blocked = Some(bt);
-    }
-
     /// Orthogonal range query: ids of live points inside `rect`, ascending.
-    /// Descends the blocked cache while one is live, with a branchless run
-    /// search at every critical node; after a structural mutation the cache
-    /// is dropped and the query falls back to the flat arena descent.
-    /// [`Self::query_flat`] is the charge-identical flat-arena mirror
-    /// (pinned by `tests/layout_equiv.rs`).
     pub fn query(&self, rect: &Rect) -> Vec<u64> {
         let mut out = Vec::new();
         self.query_into(
@@ -473,21 +427,6 @@ impl RangeTree2D {
             &mut pwe_asym::smallmem::TaskScratch::untracked(),
             &mut out,
         );
-        out.sort_unstable();
-        out
-    }
-
-    /// [`RangeTree2D::query`] forced onto the flat arena descent: same
-    /// visits, same charges — only the machine addresses differ.
-    pub fn query_flat(&self, rect: &Rect) -> Vec<u64> {
-        let scratch = &mut pwe_asym::smallmem::TaskScratch::untracked();
-        let mut out = Vec::new();
-        if has_nan_bound(rect) {
-            return out;
-        }
-        let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
-        self.query_rec(self.root, rect, lo, hi, &mut out, scratch);
-        record_writes(out.len() as u64);
         out.sort_unstable();
         out
     }
@@ -509,123 +448,30 @@ impl RangeTree2D {
         }
         let start = out.len();
         let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
-        match &self.blocked {
-            Some(bt) => self.query_blocked_rec(bt, bt.root(), rect, lo, hi, out, scratch),
-            None => self.query_rec(self.root, rect, lo, hi, out, scratch),
-        }
+        self.query_rec(self.root, rect, lo, hi, out, scratch);
         record_writes((out.len() - start) as u64);
     }
 
-    /// The blocked mirror of [`Self::query_rec`]: same logical visits, same
-    /// per-node read charge and scratch accounting — only the machine
-    /// addresses differ (hot split keys walk blocked-local children; leaf
-    /// points and inner runs are reached through `orig`).
-    #[allow(clippy::too_many_arguments)]
-    fn query_blocked_rec(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        p: u32,
-        rect: &Rect,
-        lo: f64,
-        hi: f64,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE || lo > rect.x_max || hi < rect.x_min {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        let hot = bn.payload;
-        if hot.is_leaf {
-            if let Some(q) = self.nodes[bn.orig as usize].leaf {
-                if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                    out.push(q.id);
-                }
-            }
-        } else if rect.x_min <= lo && hi <= rect.x_max {
-            self.report_y_blocked(bt, p, rect, out, scratch);
-        } else {
-            let split = hot.split;
-            self.query_blocked_rec(bt, bn.left, rect, lo, split, out, scratch);
-            self.query_blocked_rec(bt, bn.right, rect, split, hi, out, scratch);
-        }
-        scratch.free(1);
-    }
-
-    /// The blocked mirror of [`Self::report_y_range`] (same charges; the
-    /// report-phase entry read is the node's inner-structure header).
-    fn report_y_blocked(
-        &self,
-        bt: &BlockedTree<RtHot>,
-        p: u32,
-        rect: &Rect,
-        out: &mut Vec<u64>,
-        scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
-    ) {
-        if p == NO_NODE {
-            return;
-        }
-        scratch.alloc(1);
-        record_read();
-        let bn = bt.node(p);
-        match bn.payload.kind {
-            RtKind::Critical => {
-                // Arena-backed with empty overflow (baked at rebuild): the
-                // run is reachable from the hot payload alone, and skipping
-                // the empty overflow probe charges nothing extra — exactly
-                // like the flat path's `report_run` on an empty run.
-                let hot = bn.payload;
-                let main =
-                    &self.aug[hot.base_off as usize..hot.base_off as usize + hot.base_len as usize];
-                self.report_run(main, rect, out);
-            }
-            RtKind::CriticalCold => {
-                let node = &self.nodes[bn.orig as usize];
-                let inner = node.inner.as_ref().expect("critical kind implies inner");
-                let main: &[RtPoint] = if inner.base_len > 0 {
-                    &self.aug[inner.base_off..inner.base_off + inner.base_len]
-                } else {
-                    &inner.owned
-                };
-                self.report_run(main, rect, out);
-                self.report_run(&inner.extra, rect, out);
-            }
-            RtKind::Leaf => {
-                if let Some(q) = self.nodes[bn.orig as usize].leaf {
-                    if rect.contains(&q.point) && !self.deleted.contains(&q.id) {
-                        out.push(q.id);
-                    }
-                }
-            }
-            RtKind::Secondary => {
-                self.report_y_blocked(bt, bn.left, rect, out, scratch);
-                self.report_y_blocked(bt, bn.right, rect, out, scratch);
-            }
-        }
-        scratch.free(1);
-    }
-
+    /// The outer descent: one read per visited node.  A leaf resolves as a
+    /// leaf even when it also carries an inner run; a node whose x-range
+    /// lies inside the query hands over to [`Self::report_y_range`].
     fn query_rec(
         &self,
-        v: usize,
+        v: u32,
         rect: &Rect,
         lo: f64,
         hi: f64,
         out: &mut Vec<u64>,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
     ) {
-        if v == EMPTY || lo > rect.x_max || hi < rect.x_min {
+        if v == NONE || lo > rect.x_max || hi < rect.x_min {
             return;
         }
         scratch.alloc(1);
         record_read();
-        let node = &self.nodes[v];
-        if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
-            }
+        let node = &self.nodes[v as usize];
+        if node.flags & LEAF != 0 {
+            self.report_leaf(v, rect, out);
         } else if rect.x_min <= lo && hi <= rect.x_max {
             // The node's x-range is entirely inside the query: answer from
             // the inner structure (or, on a secondary node, from the inner
@@ -638,12 +484,21 @@ impl RangeTree2D {
         scratch.free(1);
     }
 
+    /// Report the leaf point of slot `v` if it is live and inside `rect`.
+    fn report_leaf(&self, v: u32, rect: &Rect, out: &mut Vec<u64>) {
+        if let Some(p) = self.cold[v as usize].leaf {
+            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
+                out.push(p.id);
+            }
+        }
+    }
+
     /// Report the points of one y-sorted run whose y lies in the query's
     /// y-range: a branchless binary search for the first candidate
     /// (`O(log m)` probe reads over contiguous memory), then an
     /// output-sensitive scan — one read per visited element, the element
     /// past the query's upper y bound included, charged once when the scan
-    /// ends.
+    /// ends.  An empty run charges nothing.
     fn report_run(&self, run: &[RtPoint], rect: &Rect, out: &mut Vec<u64>) {
         if run.is_empty() {
             return;
@@ -667,34 +522,41 @@ impl RangeTree2D {
 
     /// Report the points of `v`'s subtree whose y lies in the query's y-range
     /// (x is already known to be inside).  Critical nodes answer from their
-    /// packed base run plus the overflow run; secondary nodes delegate to
-    /// their maximal critical descendants (at most `O(α)` levels down,
-    /// Corollary 7.1).
+    /// main run plus the overflow run — a leaf-with-inner node included;
+    /// secondary nodes delegate to their maximal critical descendants (at
+    /// most `O(α)` levels down, Corollary 7.1).  The cold record is read
+    /// only for an owned main run or a non-empty overflow run: skipping an
+    /// empty overflow run charges what scanning it would (nothing).
     fn report_y_range(
         &self,
-        v: usize,
+        v: u32,
         rect: &Rect,
         out: &mut Vec<u64>,
         scratch: &mut pwe_asym::smallmem::TaskScratch<'_>,
     ) {
-        if v == EMPTY {
+        if v == NONE {
             return;
         }
         scratch.alloc(1);
         record_read();
-        let node = &self.nodes[v];
-        if let Some(inner) = &node.inner {
-            let main: &[RtPoint] = if inner.base_len > 0 {
-                &self.aug[inner.base_off..inner.base_off + inner.base_len]
-            } else {
-                &inner.owned
-            };
-            self.report_run(main, rect, out);
-            self.report_run(&inner.extra, rect, out);
-        } else if let Some(p) = node.leaf {
-            if rect.contains(&p.point) && !self.deleted.contains(&p.id) {
-                out.push(p.id);
+        let node = &self.nodes[v as usize];
+        if node.flags & INNER != 0 {
+            if node.aug_len > 0 {
+                let off = node.aug_off as usize;
+                self.report_run(&self.aug[off..off + node.aug_len as usize], rect, out);
             }
+            if node.flags & COLD_RUN != 0 {
+                let inner = self.cold[v as usize]
+                    .inner
+                    .as_ref()
+                    .expect("the INNER flag mirrors the cold inner structure");
+                if node.aug_len == 0 {
+                    self.report_run(&inner.owned, rect, out);
+                }
+                self.report_run(&inner.extra, rect, out);
+            }
+        } else if node.flags & LEAF != 0 {
+            self.report_leaf(v, rect, out);
         } else {
             self.report_y_range(node.left, rect, out, scratch);
             self.report_y_range(node.right, rect, out, scratch);
@@ -709,106 +571,108 @@ impl RangeTree2D {
     pub fn insert(&mut self, p: RtPoint) -> RtUpdateStats {
         let mut stats = RtUpdateStats::default();
         self.live += 1;
-        if self.root == EMPTY {
+        if self.root == NONE {
             *self = RangeTree2D::build(&[p], self.alpha);
             self.live = 1;
             return stats;
         }
-        // A leaf split (and a possible subtree rebuild below) changes the
-        // outer-tree shape: drop the derived descent cache; queries fall
-        // back to the flat descent until the next build-finalize.
-        self.blocked = None;
         // Descend to a leaf.
         let mut path = Vec::new();
-        let mut v = self.root;
+        let mut v = self.root as usize;
         loop {
             path.push(v);
             stats.path_nodes += 1;
             record_read();
-            if self.nodes[v].leaf.is_some() {
+            let node = &self.nodes[v];
+            if node.flags & LEAF != 0 {
                 break;
             }
-            let node = &self.nodes[v];
             v = if p.point.x() < node.split {
                 node.left
             } else {
                 node.right
-            };
+            } as usize;
         }
         // Split the leaf into an internal node with two leaves.
-        let old = self.nodes[v].leaf.expect("descent ends at a leaf");
+        let old = self.cold[v].leaf.expect("descent ends at a leaf");
         let (first, second) = if p.point.x() < old.point.x() {
             (p, old)
         } else {
             (old, p)
         };
-        let left_idx = self.nodes.len();
-        self.nodes.push(Self::make_leaf(first));
-        let right_idx = self.nodes.len();
-        self.nodes.push(Self::make_leaf(second));
+        let left = self.push_leaf(first);
+        let right = self.push_leaf(second);
         record_writes(2);
         {
             let node = &mut self.nodes[v];
-            node.leaf = None;
             node.split = second.point.x();
-            node.left = left_idx;
-            node.right = right_idx;
-            node.weight = 3;
-            node.initial_weight = 3;
-            node.critical = is_critical_weight(3, self.alpha);
+            node.left = left;
+            node.right = right;
+            let critical = is_critical_weight(3, self.alpha);
+            let cold = &mut self.cold[v];
+            cold.leaf = None;
+            cold.weight = 3;
+            cold.initial_weight = 3;
+            cold.critical = critical;
             record_writes(1);
+            // The split node keeps (or drops) its inner structure according
+            // to its new criticality; the new point is added below.
+            if !critical {
+                cold.inner = None;
+            } else if cold.inner.is_none() {
+                cold.inner = Some(Inner {
+                    owned: vec![old],
+                    ..Inner::default()
+                });
+                node.aug_off = 0;
+                node.aug_len = 0;
+            }
         }
-        // The split node keeps (or drops) its inner structure according to
-        // its new criticality; the new point is added below.
-        if !self.nodes[v].critical {
-            self.nodes[v].inner = None;
-        } else if self.nodes[v].inner.is_none() {
-            self.nodes[v].inner = Some(Inner {
-                owned: vec![old],
-                ..Inner::default()
-            });
-        }
+        self.sync_flags(v);
 
         // Splice the point into the overflow run of every critical ancestor;
         // an overflow run past its √(main) cap is merged back into an owned
         // main run (amortized O(√m) moved words per insert).
-        let aug = &self.aug;
         for &u in &path {
-            if self.nodes[u].critical {
-                self.nodes[u].weight += 1;
-                if let Some(inner) = self.nodes[u].inner.as_mut() {
-                    let pos = branchless_partition_point(&inner.extra, |q| ykey(q) < ykey(&p));
-                    inner.extra.insert(pos, p);
-                    let main_len = if inner.base_len > 0 {
-                        inner.base_len
-                    } else {
-                        inner.owned.len()
-                    };
-                    if inner.extra.len() > extra_cap(main_len) {
-                        let merged = {
-                            let main: &[RtPoint] = if inner.base_len > 0 {
-                                &aug[inner.base_off..inner.base_off + inner.base_len]
-                            } else {
-                                &inner.owned
-                            };
-                            merge_runs(main, &inner.extra)
-                        };
-                        record_reads(merged.len() as u64);
-                        record_writes(merged.len() as u64);
-                        inner.owned = merged;
-                        inner.base_len = 0;
-                        inner.extra = Vec::new();
-                    }
-                }
-                record_writes(2);
-                stats.critical_touched += 1;
+            if !self.cold[u].critical {
+                continue;
             }
+            self.cold[u].weight += 1;
+            let hot = &mut self.nodes[u];
+            if let Some(inner) = self.cold[u].inner.as_mut() {
+                let pos = branchless_partition_point(&inner.extra, |q| ykey(q) < ykey(&p));
+                inner.extra.insert(pos, p);
+                let main_len = if hot.aug_len > 0 {
+                    hot.aug_len as usize
+                } else {
+                    inner.owned.len()
+                };
+                if inner.extra.len() > extra_cap(main_len) {
+                    let merged = {
+                        let main: &[RtPoint] = if hot.aug_len > 0 {
+                            let off = hot.aug_off as usize;
+                            &self.aug[off..off + hot.aug_len as usize]
+                        } else {
+                            &inner.owned
+                        };
+                        merge_runs(main, &inner.extra)
+                    };
+                    record_reads(merged.len() as u64);
+                    record_writes(merged.len() as u64);
+                    inner.owned = merged;
+                    hot.aug_len = 0;
+                    inner.extra = Vec::new();
+                }
+            }
+            self.sync_flags(u);
+            record_writes(2);
+            stats.critical_touched += 1;
         }
 
         // Rebuild the topmost critical subtree that has doubled in weight.
         if let Some(&u) = path.iter().find(|&&u| {
-            self.nodes[u].critical
-                && self.nodes[u].weight >= 2 * self.nodes[u].initial_weight.max(3)
+            let cold = &self.cold[u];
+            cold.critical && cold.weight >= 2 * cold.initial_weight.max(3)
         }) {
             self.rebuild_subtree(u);
             stats.rebuilt = true;
@@ -816,11 +680,16 @@ impl RangeTree2D {
         stats
     }
 
-    fn make_leaf(p: RtPoint) -> RNode {
-        RNode {
+    /// Append a leaf holding `p`: weight 2, always critical, with a
+    /// one-point owned inner run.
+    fn push_leaf(&mut self, p: RtPoint) -> u32 {
+        let hot = RNode {
             split: p.point.x(),
-            left: EMPTY,
-            right: EMPTY,
+            left: NONE,
+            right: NONE,
+            ..RNode::default()
+        };
+        let cold = RCold {
             leaf: Some(p),
             inner: Some(Inner {
                 owned: vec![p],
@@ -829,7 +698,8 @@ impl RangeTree2D {
             weight: 2,
             initial_weight: 2,
             critical: true,
-        }
+        };
+        self.push_node(hot, cold)
     }
 
     /// Delete a point by id (tombstoning).  The whole tree is rebuilt once
@@ -856,71 +726,63 @@ impl RangeTree2D {
         true
     }
 
+    /// Append the live leaf points below slot `v` to `out`, left to right
+    /// (uncharged; the callers charge one read per collected point).
+    fn collect_rec(&self, v: u32, out: &mut Vec<RtPoint>) {
+        if v == NONE {
+            return;
+        }
+        if let Some(p) = self.cold[v as usize].leaf {
+            if !self.deleted.contains(&p.id) {
+                out.push(p);
+            }
+            return;
+        }
+        let node = &self.nodes[v as usize];
+        self.collect_rec(node.left, out);
+        self.collect_rec(node.right, out);
+    }
+
     /// All live points.
     pub fn collect_live(&self) -> Vec<RtPoint> {
-        fn rec(nodes: &[RNode], v: usize, deleted: &DetHashSet<u64>, out: &mut Vec<RtPoint>) {
-            if v == EMPTY {
-                return;
-            }
-            if let Some(p) = nodes[v].leaf {
-                if !deleted.contains(&p.id) {
-                    out.push(p);
-                }
-                return;
-            }
-            rec(nodes, nodes[v].left, deleted, out);
-            rec(nodes, nodes[v].right, deleted, out);
-        }
         let mut out = Vec::new();
-        rec(&self.nodes, self.root, &self.deleted, &mut out);
+        self.collect_rec(self.root, &mut out);
         record_reads(out.len() as u64);
         out
     }
 
     fn rebuild_subtree(&mut self, v: usize) {
         self.rebuilds += 1;
-        // Collect the live points below v.
-        fn rec(nodes: &[RNode], v: usize, deleted: &DetHashSet<u64>, out: &mut Vec<RtPoint>) {
-            if v == EMPTY {
-                return;
-            }
-            if let Some(p) = nodes[v].leaf {
-                if !deleted.contains(&p.id) {
-                    out.push(p);
-                }
-                return;
-            }
-            rec(nodes, nodes[v].left, deleted, out);
-            rec(nodes, nodes[v].right, deleted, out);
-        }
         let mut points = Vec::new();
-        rec(&self.nodes, v, &self.deleted, &mut points);
+        self.collect_rec(slot(v), &mut points);
         record_reads(points.len() as u64);
         if points.is_empty() {
             return;
         }
-        // Rebuild through the engine and splice both arenas into ours; the
+        // Rebuild through the engine and splice its arenas into ours; the
         // replaced subtree's segments become garbage until the next full
         // rebuild, like detached node slots.
         let rebuilt = RangeTree2D::build(&points, self.alpha);
-        let node_off = self.nodes.len();
-        let aug_off = self.aug.len();
+        slot(self.nodes.len() + rebuilt.nodes.len());
+        slot(self.aug.len() + rebuilt.aug.len());
+        let (node_off, aug_off) = (slot(self.nodes.len()), slot(self.aug.len()));
         self.aug.extend_from_slice(&rebuilt.aug);
-        let remap = |idx: usize| if idx == EMPTY { EMPTY } else { idx + node_off };
-        for mut node in rebuilt.nodes {
-            node.left = remap(node.left);
-            node.right = remap(node.right);
-            if let Some(inner) = node.inner.as_mut() {
-                inner.base_off += aug_off;
+        let remap = |idx: u32| if idx == NONE { NONE } else { idx + node_off };
+        for (mut hot, cold) in rebuilt.nodes.into_iter().zip(rebuilt.cold) {
+            hot.left = remap(hot.left);
+            hot.right = remap(hot.right);
+            if hot.flags & INNER != 0 {
+                hot.aug_off += aug_off;
             }
-            self.nodes.push(node);
+            self.nodes.push(hot);
+            self.cold.push(cold);
         }
-        let new_root = remap(rebuilt.root);
-        let root_copy = self.nodes[new_root].clone();
-        self.nodes[v] = root_copy;
+        let new_root = remap(rebuilt.root) as usize;
+        self.nodes[v] = self.nodes[new_root];
+        self.cold[v] = self.cold[new_root].clone();
         record_writes(1);
-        if v == self.root {
-            self.nodes[self.root].critical = true;
+        if v == self.root as usize {
+            self.cold[v].critical = true;
         }
     }
 }
@@ -999,6 +861,7 @@ impl AugSizes {
 fn build_par_rec(
     sorted: &[RtPoint],
     nodes: &mut [RNode],
+    cold: &mut [RCold],
     node_base: usize,
     aug: &mut [RtPoint],
     aug_base: usize,
@@ -1015,14 +878,15 @@ fn build_par_rec(
         aug[0] = p;
         nodes[0] = RNode {
             split: p.point.x(),
-            left: EMPTY,
-            right: EMPTY,
+            left: NONE,
+            right: NONE,
+            aug_off: slot(aug_base),
+            aug_len: 1,
+            flags: LEAF | INNER,
+        };
+        cold[0] = RCold {
             leaf: Some(p),
-            inner: Some(Inner {
-                base_off: aug_base,
-                base_len: 1,
-                ..Inner::default()
-            }),
+            inner: Some(Inner::default()),
             weight: 2,
             initial_weight: 2,
             critical: true, // weight 2 is always critical
@@ -1042,12 +906,14 @@ fn build_par_rec(
     let (left_aug, right_aug) = rest.split_at_mut(left_aug_len);
     let (node0, rest_nodes) = nodes.split_first_mut().expect("m ≥ 2");
     let (left_nodes, right_nodes) = rest_nodes.split_at_mut(2 * mid - 1);
+    let (cold0, rest_cold) = cold.split_first_mut().expect("m ≥ 2");
+    let (left_cold, right_cold) = rest_cold.split_at_mut(2 * mid - 1);
     let (ls, rs) = sorted.split_at(mid);
     let left_base = aug_base + own_len;
     let right_base = left_base + left_aug_len;
 
     // racecheck: when the fork is real, each arm claims its disjoint slices
-    // of both shared arenas (augmentation words and preorder nodes).
+    // of the shared arenas (augmentation words, hot and cold nodes).
     let forked = m > crate::engine::SEQUENTIAL_BUILD_CUTOFF;
     let ((lruns, lview), (rruns, rview)) = join_grain(
         m,
@@ -1056,11 +922,13 @@ fn build_par_rec(
                 (
                     racecheck::claim_slice(&*left_aug, "range_tree::build_par_rec/left_aug"),
                     racecheck::claim_slice(&*left_nodes, "range_tree::build_par_rec/left_nodes"),
+                    racecheck::claim_slice(&*left_cold, "range_tree::build_par_rec/left_cold"),
                 )
             });
             let runs = build_par_rec(
                 ls,
                 left_nodes,
+                left_cold,
                 node_base + 1,
                 &mut *left_aug,
                 left_base,
@@ -1077,11 +945,13 @@ fn build_par_rec(
                 (
                     racecheck::claim_slice(&*right_aug, "range_tree::build_par_rec/right_aug"),
                     racecheck::claim_slice(&*right_nodes, "range_tree::build_par_rec/right_nodes"),
+                    racecheck::claim_slice(&*right_cold, "range_tree::build_par_rec/right_cold"),
                 )
             });
             let runs = build_par_rec(
                 rs,
                 right_nodes,
+                right_cold,
                 node_base + 1 + (2 * mid - 1),
                 &mut *right_aug,
                 right_base,
@@ -1097,13 +967,15 @@ fn build_par_rec(
 
     *node0 = RNode {
         split,
-        left: node_base + 1,
-        right: node_base + 1 + (2 * mid - 1),
-        leaf: None,
-        inner: None,
+        left: slot(node_base + 1),
+        right: slot(node_base + 1 + (2 * mid - 1)),
+        ..RNode::default()
+    };
+    *cold0 = RCold {
         weight,
         initial_weight: weight,
         critical,
+        ..RCold::default()
     };
     record_writes(1);
 
@@ -1118,11 +990,10 @@ fn build_par_rec(
             srcs.push(&rview[off..off + len]);
         }
         kway_merge_into(&srcs, own_seg, &ykey, ledger, level);
-        node0.inner = Some(Inner {
-            base_off: aug_base,
-            base_len: m,
-            ..Inner::default()
-        });
+        node0.aug_off = slot(aug_base);
+        node0.aug_len = slot(m);
+        node0.flags = INNER;
+        cold0.inner = Some(Inner::default());
         vec![(0, m)]
     } else {
         // Not critical: expose the children's runs, rebased to this region
@@ -1196,7 +1067,6 @@ mod tests {
             for rect in &rects {
                 let expected = range_bruteforce(&points, rect);
                 assert_eq!(tree.query(rect), expected, "α={alpha} {rect:?}");
-                assert_eq!(tree.query_flat(rect), expected, "α={alpha} {rect:?}");
             }
         }
     }
@@ -1255,11 +1125,12 @@ mod tests {
             );
             // Every critical node's base run is y-sorted and covers its
             // subtree's points.
-            for node in &tree.nodes {
-                if let Some(inner) = &node.inner {
-                    let run = &tree.aug[inner.base_off..inner.base_off + inner.base_len];
+            for (hot, cold) in tree.nodes.iter().zip(&tree.cold) {
+                if cold.inner.is_some() {
+                    let off = hot.aug_off as usize;
+                    let run = &tree.aug[off..off + hot.aug_len as usize];
                     assert!(run.windows(2).all(|w| ykey(&w[0]) < ykey(&w[1])));
-                    assert_eq!(inner.base_len, node.weight - 1);
+                    assert_eq!(hot.aug_len as usize, cold.weight - 1);
                 }
             }
         }
@@ -1282,10 +1153,10 @@ mod tests {
             reference.push(p);
         }
         assert!(
-            tree.nodes.iter().any(|n| n
+            tree.nodes.iter().zip(&tree.cold).any(|(hot, cold)| cold
                 .inner
                 .as_ref()
-                .is_some_and(|i| !i.owned.is_empty() && i.base_len == 0)),
+                .is_some_and(|i| !i.owned.is_empty() && hot.aug_len == 0)),
             "1500 inserts must overflow at least one node's cap"
         );
         for rect in &random_query_rects(40, 0.3, 25) {

@@ -1,17 +1,17 @@
-//! Blocked-vs-flat equivalence: every query that can descend a
-//! [`pwe_primitives::layout::BlockedTree`] cache must return the same
-//! answers AND charge the same ARAM reads/writes as the flat arena descent
-//! it mirrors (MODEL.md "Cache cost vs. ARAM cost" — blocked layouts change
-//! machine addresses, never the cost model).  The walk-order reporters
-//! behind the sorted queries are checked the same way, and one query per
-//! walk has its exact charges pinned.
+//! One query walk per augmented tree.  The interval and range trees keep
+//! their nodes in a hot/cold pair of arenas and answer every query with a
+//! single walk over them; these tests check that walk's answers against the
+//! brute-force oracles, after builds, inserts and deletes, and pin its exact
+//! ARAM charges, so a change of node layout cannot move the cost model
+//! (MODEL.md §5).  The walk-order reporters behind the sorted queries are
+//! checked the same way.
 
 use proptest::prelude::*;
 use pwe_asym::cost::{measure, Omega};
 use pwe_asym::smallmem::TaskScratch;
 use pwe_augtree::interval::IntervalTree;
 use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
-use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
+use pwe_augtree::range_tree::{range_bruteforce, RangeTree2D, RtPoint};
 use pwe_geom::bbox::Rect;
 use pwe_geom::generators::{random_intervals, uniform_points_2d};
 use pwe_geom::point::Point2;
@@ -74,112 +74,57 @@ fn query_all(parts: usize, query: impl Fn(usize) -> Vec<u64>) -> (Vec<u64>, u64,
     (ids, r, w)
 }
 
-/// The bench's query_compare rectangle shape (wide in x, thin in y) at a
-/// fixed size/α grid — the workload where the blocked report walk earns its
-/// keep, and the one that caught the leaf-with-inner precedence bug the
-/// proptests below now also cover.
+/// The `speedup --queries` range rectangle shape (wide in x, thin in y):
+/// many fully-contained critical nodes, so most of the walk is the outer
+/// descent and the inner run searches.
+fn bench_rects(count: usize) -> Vec<Rect> {
+    let mut state = 77u64 | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|_| {
+            let w = 0.05 + 0.20 * next();
+            let h = 0.0001 + 0.0009 * next();
+            let x = next() * (1.0 - w);
+            let y = next() * (1.0 - h);
+            Rect {
+                x_min: x,
+                x_max: x + w,
+                y_min: y,
+                y_max: y + h,
+            }
+        })
+        .collect()
+}
+
+/// The bench rectangles over a fixed size/α grid: every answer matches the
+/// brute-force oracle, and the grid's total (reads, writes) is pinned.
+/// This is the shape that once caught a leaf-with-inner precedence bug
+/// (the descent must resolve such a node as a leaf).
 #[test]
-fn range_tree_blocked_matches_flat_on_bench_rects() {
+fn range_tree_bench_rects_match_bruteforce() {
+    let (mut reads, mut writes) = (0, 0);
     for &n in &[257usize, 1024, 4096] {
         for &alpha in &ALPHAS {
             let pts = rt_points(n, 0x5eed + n as u64);
             let tree = RangeTree2D::build(&pts, alpha);
-            let mut state = 77u64 | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
-            for q in 0..64 {
-                let w = 0.05 + 0.20 * next();
-                let h = 0.0001 + 0.0009 * next();
-                let x = next() * (1.0 - w);
-                let y = next() * (1.0 - h);
-                let rect = Rect {
-                    x_min: x,
-                    x_max: x + w,
-                    y_min: y,
-                    y_max: y + h,
-                };
-                let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-                let (b, br, bw) = charged(|| tree.query(&rect));
-                assert_eq!(a, b, "answers n={n} alpha={alpha} q={q}");
+            for (q, rect) in bench_rects(64).iter().enumerate() {
+                let (ids, r, w) = charged(|| tree.query(rect));
                 assert_eq!(
-                    (fr, fw),
-                    (br, bw),
-                    "counters n={n} alpha={alpha} q={q} rect={rect:?}"
+                    ids,
+                    range_bruteforce(&pts, rect),
+                    "n={n} alpha={alpha} q={q}"
                 );
+                reads += r;
+                writes += w;
             }
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // Interval stabbing: the blocked centered-decomposition descent
-    // (`stab`, when the cache is live) answers and charges exactly like
-    // the flat arena walk (`stab_flat`).
-    #[test]
-    fn prop_interval_blocked_equals_flat(
-        n in 0usize..500,
-        seed in 0u64..50,
-        queries in proptest::collection::vec(0.0f64..1000.0, 1..16),
-    ) {
-        let intervals = random_intervals(n, 1000.0, 40.0, seed);
-        for alpha in ALPHAS {
-            let tree = IntervalTree::build_parallel(&intervals, alpha);
-            for &q in &queries {
-                let (a, fr, fw) = charged(|| tree.stab_flat(q));
-                let (b, br, bw) = charged(|| tree.stab(q));
-                prop_assert_eq!(&a, &b, "answers α={} q={}", alpha, q);
-                prop_assert_eq!((fr, fw), (br, bw), "counters α={} q={}", alpha, q);
-            }
-        }
-    }
-
-    // 2-D range reporting: `query` (blocked when cached) vs `query_flat`,
-    // over arbitrary rectangles.
-    #[test]
-    fn prop_range_blocked_equals_flat(
-        n in 0usize..500,
-        seed in 0u64..50,
-        rects in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.5, 0.0f64..0.5), 1..12),
-    ) {
-        let pts = rt_points(n, seed);
-        for alpha in ALPHAS {
-            let tree = RangeTree2D::build(&pts, alpha);
-            for &(x, y, w, h) in &rects {
-                let rect = Rect { x_min: x, x_max: x + w, y_min: y, y_max: y + h };
-                let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-                let (b, br, bw) = charged(|| tree.query(&rect));
-                prop_assert_eq!(&a, &b, "answers α={} rect={:?}", alpha, rect);
-                prop_assert_eq!((fr, fw), (br, bw), "counters α={} rect={:?}", alpha, rect);
-            }
-        }
-    }
-
-    // Tombstoned points stay invisible on both paths (deletion does not
-    // drop the cache — it only filters the report).
-    #[test]
-    fn prop_range_blocked_equals_flat_with_deletes(
-        n in 2usize..300,
-        seed in 0u64..50,
-        del_stride in 2usize..6,
-    ) {
-        let pts = rt_points(n, seed);
-        let mut tree = RangeTree2D::build(&pts, 8);
-        for id in (0..n as u64).step_by(del_stride) {
-            tree.delete(id);
-        }
-        let rect = Rect { x_min: 0.1, x_max: 0.9, y_min: 0.2, y_max: 0.8 };
-        let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-        let (b, br, bw) = charged(|| tree.query(&rect));
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!((fr, fw), (br, bw));
-        prop_assert!(a.iter().all(|id| id % del_stride as u64 != 0));
-    }
+    assert_eq!((reads, writes), (104_490, 72), "bench-rect grid charges");
 }
 
 proptest! {
@@ -192,9 +137,8 @@ proptest! {
     // ids must be the trees' sorted queries, and the reporters must charge
     // the queries' reads plus one write per appended id — none for the
     // prefix or for another tree's ids.  Checked on the freshly built trees
-    // (blocked caches live) and after inserts and deletes (the interval and
-    // range trees fall back to the flat walk, the range tree filters
-    // tombstones, the PST sifts and promotes).
+    // and after inserts and deletes (overflow runs, tombstones filtered by
+    // the range tree, the PST's sifts and promotions).
     #[test]
     fn prop_reporters_append_after_a_shared_prefix(
         n in 0usize..400,
@@ -268,10 +212,10 @@ proptest! {
     }
 }
 
-/// The exact (reads, writes) of one fixed-seed query per walk — blocked and
-/// flat stab, blocked and flat range, the PST descent.  The values are the
-/// ones a per-element `record_read` charged; the walks charge their count
-/// once when a scan ends, and that must not move the totals.
+/// The exact (reads, writes) of one fixed-seed query per walk — stab,
+/// range, the PST descent.  The values are the ones a per-element
+/// `record_read` charged; the walks charge their count once when a scan
+/// ends, and that must not move the totals.
 #[test]
 fn walk_charges_are_pinned() {
     let it = IntervalTree::build_parallel(&random_intervals(2000, 1000.0, 40.0, 7), 8);
@@ -288,10 +232,8 @@ fn walk_charges_are_pinned() {
         let (_, r, w) = charged(f);
         (r, w)
     };
-    assert_eq!(charges(&|| it.stab(500.0)), (61, 39), "blocked stab");
-    assert_eq!(charges(&|| it.stab_flat(500.0)), (61, 39), "flat stab");
-    assert_eq!(charges(&|| rt.query(&rect)), (679, 467), "blocked range");
-    assert_eq!(charges(&|| rt.query_flat(&rect)), (679, 467), "flat range");
+    assert_eq!(charges(&|| it.stab(500.0)), (61, 39), "stab");
+    assert_eq!(charges(&|| rt.query(&rect)), (679, 467), "range");
     assert_eq!(
         charges(&|| pst.query_3sided(0.2, 0.7, 0.4)),
         (928, 610),
@@ -299,11 +241,13 @@ fn walk_charges_are_pinned() {
     );
 }
 
-/// A structural mutation (leaf split plus overflow-run splice) drops the
-/// cache: `query` must fall back to the flat descent — answer- and
-/// charge-identical to `query_flat`, reporting every live point on a full
-/// box — across α ∈ {2, 8, 64} and up to 20 inserts; a fresh build over the
-/// live points restores the blocked cache and blocked/flat equivalence.
+/// Structural inserts (leaf splits plus overflow-run splices) on a fixed
+/// grid of sizes, seeds and insert counts at α ∈ {2, 8, 64}: a full and a
+/// partial box answer like the brute-force oracle, the full box reports
+/// every live point, and a fresh build over the live points answers the
+/// same.  The grid's total (reads, writes) is pinned, after the inserts
+/// and after the rebuild, to the charges of the flat walk the trees once
+/// fell back to, so an insert cannot move the one walk's cost.
 #[test]
 fn insert_drops_cache_and_rebuild_restores_equivalence() {
     let full = Rect {
@@ -318,6 +262,7 @@ fn insert_drops_cache_and_rebuild_restores_equivalence() {
         y_min: 0.1,
         y_max: 0.6,
     };
+    let (mut inserted, mut rebuilt_charges) = ((0, 0), (0, 0));
     for alpha in ALPHAS {
         for &(n, seed, extra) in &[
             (300usize, 9u64, 1usize),
@@ -325,7 +270,8 @@ fn insert_drops_cache_and_rebuild_restores_equivalence() {
             (57, 23, 7),
             (299, 41, 20),
         ] {
-            let mut tree = RangeTree2D::build(&rt_points(n, seed), alpha);
+            let mut reference = rt_points(n, seed);
+            let mut tree = RangeTree2D::build(&reference, alpha);
             let mut state = seed.wrapping_mul(0x9e37_79b9) | 1;
             let mut next = move || {
                 state ^= state << 13;
@@ -334,37 +280,30 @@ fn insert_drops_cache_and_rebuild_restores_equivalence() {
                 (state >> 11) as f64 / (1u64 << 53) as f64
             };
             for i in 0..extra {
-                tree.insert(RtPoint {
+                let p = RtPoint {
                     point: Point2::new([next(), next()]),
                     id: 10_000 + i as u64,
-                });
+                };
+                tree.insert(p);
+                reference.push(p);
             }
+            let rebuilt = RangeTree2D::build(&tree.collect_live(), alpha);
             for rect in [full, part] {
-                let (a, fr, fw) = charged(|| tree.query_flat(&rect));
-                let (b, br, bw) = charged(|| tree.query(&rect));
-                assert_eq!(a, b, "post-insert answers α={alpha} n={n} extra={extra}");
-                assert_eq!(
-                    (fr, fw),
-                    (br, bw),
-                    "post-insert counters α={alpha} n={n} extra={extra}"
-                );
+                let want = range_bruteforce(&reference, &rect);
+                let (a, r, w) = charged(|| tree.query(&rect));
+                assert_eq!(a, want, "post-insert answers α={alpha} n={n} extra={extra}");
+                inserted.0 += r;
+                inserted.1 += w;
+                let (b, r, w) = charged(|| rebuilt.query(&rect));
+                assert_eq!(b, want, "rebuilt answers α={alpha} n={n} extra={extra}");
+                rebuilt_charges.0 += r;
+                rebuilt_charges.1 += w;
             }
             let all = tree.query(&full);
             assert_eq!(all.len(), tree.len(), "full box α={alpha} n={n}");
             assert!(all.contains(&10_000));
-
-            let rebuilt = RangeTree2D::build(&tree.collect_live(), alpha);
-            for rect in [full, part] {
-                let (a, fr, fw) = charged(|| rebuilt.query_flat(&rect));
-                let (b, br, bw) = charged(|| rebuilt.query(&rect));
-                assert_eq!(a, b, "rebuilt answers α={alpha} n={n} extra={extra}");
-                assert_eq!(
-                    (fr, fw),
-                    (br, bw),
-                    "rebuilt counters α={alpha} n={n} extra={extra}"
-                );
-                assert_eq!(a, tree.query(&rect), "rebuild keeps the answers");
-            }
         }
     }
+    assert_eq!(inserted, (7_583, 2_625), "post-insert grid charges");
+    assert_eq!(rebuilt_charges, (7_457, 2_625), "rebuilt grid charges");
 }

@@ -23,23 +23,23 @@
 //!   per-level-copy constructions vs the parallel allocation-lean engine;
 //!   `BENCH_augtree.json` holds committed trajectory points of this
 //!   schema).
-//! * **`--queries`** — the flat-vs-blocked query A/B: one `query_compare`
-//!   line per query workload (`interval_stab`, `range2d`,
-//!   `delaunay_locate`, `incircle_simd`), timing the same query stream
-//!   against the flat arena descent and the vEB-blocked descent of the same
-//!   structure (for `delaunay_locate`, the one-at-a-time exact predicates
-//!   against the width-filtered batch kernels; for `incircle_simd`, the
-//!   scalar batch loop against the dispatched SIMD kernel).  The stream is
-//!   processed in batches of `--qbatch` queries (default 256).  Both sides
-//!   must report identical answers and identical read/write/depth
-//!   counters — the blocked layout is a machine-level rearrangement,
-//!   invisible to the cost model — and the line records both, so a
-//!   committed `BENCH_queries.json` row is self-validating.
+//! * **`--queries`** — the predicate-kernel A/B: one `query_compare` line
+//!   per query workload, timing the same predicate stream through a
+//!   "before" and an "after" kernel (`delaunay_locate`: the one-at-a-time
+//!   exact predicates against the width-filtered batch kernels;
+//!   `incircle_simd`: the scalar batch loop against the dispatched SIMD
+//!   kernel).  The stream is processed in batches of `--qbatch` queries
+//!   (default 256).  Both sides must report identical answers and
+//!   identical read/write/depth counters — the kernels are machine-level
+//!   rearrangements, invisible to the cost model — and the line records
+//!   both, so a committed `BENCH_queries.json` row is self-validating.  The
+//!   fields keep their historical names: `flat_*` is the before side,
+//!   `blocked_*` the after side.
 //! * **`--smoke`** — a tiny in-process sweep that validates the JSON
 //!   emitter and asserts the ω-crossover claim (at the largest swept ω the
 //!   write-efficient variant must cost less work), then runs every query
-//!   workload at a small n and asserts answer and counter equality of the
-//!   flat and blocked paths; exits non-zero on violation.  CI runs this so
+//!   workload at a small n and asserts answer and counter equality of its
+//!   two sides; exits non-zero on violation.  CI runs this so
 //!   the emitter cannot silently rot.
 //!
 //! Every JSON row carries `threads_available` (detected parallelism) and
@@ -52,7 +52,7 @@
 //!   cargo run --release -p pwe-bench --bin speedup -- --threads 1,2,8
 //!   cargo run --release -p pwe-bench --bin speedup -- --sweep --ns 10000,50000
 //!   cargo run --release -p pwe-bench --bin speedup -- --sweep --workload sort --omegas 1,10,40
-//!   cargo run --release -p pwe-bench --bin speedup -- --queries --workload range2d --n 200000
+//!   cargo run --release -p pwe-bench --bin speedup -- --queries --workload incircle_simd --n 200000
 //!   cargo run --release -p pwe-bench --bin speedup -- --smoke
 //!
 //! Speedup workloads: the theorem experiments (`sort`, `mergesort`,
@@ -67,11 +67,9 @@ use pwe_augtree::interval::IntervalTree;
 use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_delaunay::{triangulate_baseline, triangulate_write_efficient};
-use pwe_geom::generators::{
-    random_intervals, stabbing_queries, uniform_grid_points, uniform_points_2d,
-};
+use pwe_geom::generators::{random_intervals, uniform_grid_points, uniform_points_2d};
 use pwe_geom::predicates::is_ccw;
-use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint, Rect};
+use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint};
 use pwe_kdtree::build::{build_classic, build_p_batched, recommended_p};
 use pwe_primitives::scan::par_exclusive_scan;
 use pwe_primitives::semisort::semisort_by_key;
@@ -101,19 +99,12 @@ const SWEEP_WORKLOADS: &[&str] = &[
     "delaunay", "sort", "kdtree", "interval", "priority", "range",
 ];
 
-/// Query workloads: each times one query stream twice over the same built
-/// structure — once through the flat arena descent, once through the
-/// vEB-blocked descent (`delaunay_locate` compares one-at-a-time exact
-/// predicates against the width-filtered batch kernels; `incircle_simd`
-/// compares the scalar batch loop against the dispatched AVX2 kernel).
-/// Answers and read/write/depth counters must match exactly on every row
-/// (MODEL.md §3.3).
-const QUERY_WORKLOADS: &[&str] = &[
-    "interval_stab",
-    "range2d",
-    "delaunay_locate",
-    "incircle_simd",
-];
+/// Query workloads: each times one predicate stream twice
+/// (`delaunay_locate` compares one-at-a-time exact predicates against the
+/// width-filtered batch kernels; `incircle_simd` compares the scalar batch
+/// loop against the dispatched AVX2 kernel).  Answers and read/write/depth
+/// counters must match exactly on every row (MODEL.md §3.3).
+const QUERY_WORKLOADS: &[&str] = &["delaunay_locate", "incircle_simd"];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -431,14 +422,14 @@ fn run_sweep_child(workload: &str, n: usize, omegas: &[usize]) -> Vec<String> {
         .collect()
 }
 
-/// The two timed sides of one flat-vs-blocked query comparison, plus the
+/// The two timed sides (before, after) of one query comparison, plus the
 /// answer-checksum verdict.  Counters live inside the [`CostReport`]s; the
 /// caller asserts/reports their equality.
 struct QueryCompare {
     n: usize,
     queries: usize,
-    flat: CostReport,
-    blocked: CostReport,
+    before: CostReport,
+    after: CostReport,
     answers_equal: bool,
 }
 
@@ -459,130 +450,18 @@ fn best_of<T>(reps: usize, f: impl Fn() -> (T, CostReport)) -> (T, CostReport) {
 /// Repetitions per timed side of a `query_compare` row.
 const QUERY_REPS: usize = 5;
 
-/// Order-sensitive fold of one query's answer ids into a running checksum
-/// (both layouts return identically ordered answers, so a mismatch anywhere
-/// in the stream perturbs the final word).
-fn fold_ids(acc: u64, ids: &[u64]) -> u64 {
-    let mut h = acc
-        .wrapping_mul(0x100_0000_01b3)
-        .wrapping_add(ids.len() as u64);
-    for &id in ids {
-        h = h.wrapping_mul(31).wrapping_add(id);
-    }
-    h
-}
-
-/// Build one structure, run the same query stream through the flat and the
-/// blocked descent (in `qbatch`-sized batches), and return both timings.
-/// Query counts scale with n so `--smoke` stays cheap.
+/// Run the same predicate stream through both sides of one workload (in
+/// `qbatch`-sized batches), and return both timings.  Query counts scale
+/// with n so `--smoke` stays cheap.
 fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -> QueryCompare {
     let omega = Omega::new(1);
     let qbatch = qbatch.max(1);
     match workload {
-        "interval_stab" => {
-            let n = n_override.unwrap_or(200_000);
-            let intervals = random_intervals(n, 1e6, 200.0, 17);
-            let tree = IntervalTree::build_parallel(&intervals, 2);
-            let qs = stabbing_queries((n / 10).clamp(200, 20_000), 1e6, 71);
-            for &x in qs.iter().take(128) {
-                tree.stab_flat(x);
-                tree.stab(x);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &x in chunk {
-                            acc = fold_ids(acc, &tree.stab_flat(x));
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for &x in chunk {
-                            acc = fold_ids(acc, &tree.stab(x));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
-        "range2d" => {
-            let n = n_override.unwrap_or(200_000);
-            let points: Vec<RtPoint> = uniform_points_2d(n, 31)
-                .into_iter()
-                .enumerate()
-                .map(|(i, point)| RtPoint {
-                    point,
-                    id: i as u64,
-                })
-                .collect();
-            let tree = RangeTree2D::build(&points, 8);
-            // Wide-x, thin-y rectangles: many fully-contained critical
-            // nodes, so the stream spends its time in the outer descent and
-            // the inner run searches — the retrofitted paths — while the
-            // answer sets (and the reporting work, identical on both sides)
-            // stay small.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-            let qs: Vec<Rect> = (0..(n / 50).clamp(100, 4_000))
-                .map(|_| {
-                    let w = rng.gen_range(0.05..0.25);
-                    let h = rng.gen_range(0.0001..0.001);
-                    let x = rng.gen_range(0.0..(1.0 - w));
-                    let y = rng.gen_range(0.0..(1.0 - h));
-                    Rect::new(x, x + w, y, y + h)
-                })
-                .collect();
-            for rect in qs.iter().take(64) {
-                tree.query_flat(rect);
-                tree.query(rect);
-            }
-            let (sf, flat) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for rect in chunk {
-                            acc = fold_ids(acc, &tree.query_flat(rect));
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for chunk in qs.chunks(qbatch) {
-                        for rect in chunk {
-                            acc = fold_ids(acc, &tree.query(rect));
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: qs.len(),
-                flat,
-                blocked,
-                answers_equal: sf == sb,
-            }
-        }
         "delaunay_locate" => {
             // The point-location predicate stream: many in-circle tests of
             // query points against fixed CCW triangles — the inner loop of
-            // the Delaunay engine's cavity assessment.  "Flat" is the
-            // one-at-a-time exact i128 predicate; "blocked" stages the
+            // the Delaunay engine's cavity assessment.  "Before" is the
+            // one-at-a-time exact i128 predicate; "after" stages the
             // queries as SoA slices for the width-filtered batch kernel.
             // Both sides are uncharged (the engine accounts per test), so
             // the counter deltas are zero on both — equal by construction.
@@ -603,7 +482,7 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                 .collect();
             let queries = uniform_grid_points(n / triangles.len().max(1), span, 73);
             let total = triangles.len() * queries.len();
-            let (sf, flat) = best_of(QUERY_REPS, || {
+            let (sf, before) = best_of(QUERY_REPS, || {
                 measure(omega, || {
                     let mut acc = 0u64;
                     for &(a, b, c) in &triangles {
@@ -618,7 +497,7 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                     acc
                 })
             });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
+            let (sb, after) = best_of(QUERY_REPS, || {
                 measure(omega, || {
                     let mut acc = 0u64;
                     let mut dx = vec![0i64; qbatch];
@@ -643,15 +522,15 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
             QueryCompare {
                 n,
                 queries: total,
-                flat,
-                blocked,
+                before,
+                after,
                 answers_equal: sf == sb,
             }
         }
         "incircle_simd" => {
             // The SIMD A/B over the same staged SoA predicate storm:
-            // "flat" is the scalar batch loop (the dispatch fallback and
-            // bit-equality oracle), "blocked" the public dispatcher — the
+            // "before" is the scalar batch loop (the dispatch fallback and
+            // bit-equality oracle), "after" the public dispatcher — the
             // explicit AVX2 kernel wherever the host has it.  Both sides
             // are uncharged batch kernels (the engine accounts per test),
             // so the counter deltas are zero on both — equal by
@@ -693,12 +572,12 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
                 }
                 acc
             };
-            let (sf, flat) = best_of(QUERY_REPS, || {
+            let (sf, before) = best_of(QUERY_REPS, || {
                 measure(omega, || {
                     run(&|a, b, c, dx, dy, out| in_circle_batch_scalar(a, b, c, dx, dy, out))
                 })
             });
-            let (sb, blocked) = best_of(QUERY_REPS, || {
+            let (sb, after) = best_of(QUERY_REPS, || {
                 measure(omega, || {
                     run(&|a, b, c, dx, dy, out| in_circle_batch(a, b, c, dx, dy, out))
                 })
@@ -706,8 +585,8 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
             QueryCompare {
                 n,
                 queries: total,
-                flat,
-                blocked,
+                before,
+                after,
                 answers_equal: sf == sb,
             }
         }
@@ -722,15 +601,15 @@ fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -
 fn run_query_child(workload: &str, n_override: Option<usize>, qbatch: usize) -> String {
     let threads = rayon::current_num_threads();
     let c = run_query_compare(workload, n_override, qbatch);
-    let flat_ms = c.flat.elapsed.as_secs_f64() * 1e3;
-    let blocked_ms = c.blocked.elapsed.as_secs_f64() * 1e3;
-    let counters_equal = c.flat.reads == c.blocked.reads
-        && c.flat.writes == c.blocked.writes
-        && c.flat.depth == c.blocked.depth;
+    let before_ms = c.before.elapsed.as_secs_f64() * 1e3;
+    let after_ms = c.after.elapsed.as_secs_f64() * 1e3;
+    let counters_equal = c.before.reads == c.after.reads
+        && c.before.writes == c.after.writes
+        && c.before.depth == c.after.depth;
     format!(
         "{{\"mode\":\"query_compare\",\"workload\":\"{workload}\",\"n\":{},\
          \"queries\":{},\"qbatch\":{qbatch},\"threads\":{threads},{},\
-         \"flat_millis\":{flat_ms:.3},\"blocked_millis\":{blocked_ms:.3},\
+         \"flat_millis\":{before_ms:.3},\"blocked_millis\":{after_ms:.3},\
          \"gain\":{:.3},\
          \"flat_reads\":{},\"blocked_reads\":{},\
          \"flat_writes\":{},\"blocked_writes\":{},\
@@ -738,16 +617,16 @@ fn run_query_child(workload: &str, n_override: Option<usize>, qbatch: usize) -> 
         c.n,
         c.queries,
         thread_fields(),
-        flat_ms / blocked_ms.max(1e-9),
-        c.flat.reads,
-        c.blocked.reads,
-        c.flat.writes,
-        c.blocked.writes,
+        before_ms / after_ms.max(1e-9),
+        c.before.reads,
+        c.after.reads,
+        c.before.writes,
+        c.after.writes,
         c.answers_equal,
     )
 }
 
-/// The flat-vs-blocked query A/B across workloads (one child per
+/// The query A/B across workloads (one child per
 /// `(workload, threads)` so the pool width is honest).
 fn run_queries_parent(args: &[String]) {
     let exe = std::env::current_exe().expect("current_exe");
@@ -783,11 +662,11 @@ fn run_queries_parent(args: &[String]) {
             }
             let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
             println!("{line}");
-            let flat_ms = json_f64(&line, "flat_millis").unwrap_or(0.0);
-            let blocked_ms = json_f64(&line, "blocked_millis").unwrap_or(0.0);
+            let before_ms = json_f64(&line, "flat_millis").unwrap_or(0.0);
+            let after_ms = json_f64(&line, "blocked_millis").unwrap_or(0.0);
             let gain = json_f64(&line, "gain").unwrap_or(0.0);
             eprintln!(
-                "{workload:<15} threads={t:<3} flat {flat_ms:>9.2} ms   blocked {blocked_ms:>9.2} ms   gain {gain:>5.2}x"
+                "{workload:<15} threads={t:<3} before {before_ms:>9.2} ms   after {after_ms:>9.2} ms   gain {gain:>5.2}x"
             );
         }
     }
@@ -905,7 +784,7 @@ fn run_smoke() {
 
     // Query A/B: at a small n, every compared pair must agree on every
     // answer and every counter — the "after" side is machine bookkeeping
-    // (blocked layout, SIMD kernel), invisible to the ARAM model.  (No
+    // (batch or SIMD kernel), invisible to the ARAM model.  (No
     // wall-clock assertion here; gains are claimed only by committed
     // full-size BENCH rows.)
     for workload in QUERY_WORKLOADS {
@@ -918,11 +797,11 @@ fn run_smoke() {
         }
         assert!(
             line.contains("\"counters_equal\":true"),
-            "smoke: {workload} blocked path moved the counters: {line}"
+            "smoke: {workload} after side moved the counters: {line}"
         );
         assert!(
             line.contains("\"answers_equal\":true"),
-            "smoke: {workload} blocked path changed an answer: {line}"
+            "smoke: {workload} after side changed an answer: {line}"
         );
         println!("{line}");
     }

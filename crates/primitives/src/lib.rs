@@ -30,15 +30,12 @@
 //!   thread-count-independent schedule of injected panics, errors and
 //!   delays (the chaos half of the serving layer's failure-containment
 //!   story, MODEL.md §6).
-//! * [`layout`] / [`search`] — the cache-conscious query layer: blocked
-//!   (vEB-style) permutation caches for static arena trees and the
-//!   branchless, prefetching binary search every packed-run lookup goes
-//!   through.  Wall-clock machinery only: counters, digests and answers
-//!   are unchanged (MODEL.md §5).
+//! * [`search`] — the branchless, prefetching binary search every
+//!   packed-run lookup goes through.  Wall-clock machinery only: counters,
+//!   digests and answers are unchanged (MODEL.md §5).
 
 pub mod faultpoint;
 pub mod hash;
-pub mod layout;
 pub mod merge;
 pub mod permute;
 pub mod priority_write;
@@ -49,7 +46,6 @@ pub mod semisort;
 
 pub use faultpoint::InjectedFault;
 pub use hash::{DetHashMap, DetHashSet, DetState};
-pub use layout::{BlockedNode, BlockedTree, NO_NODE};
 pub use permute::{random_permutation, shuffle_in_place};
 pub use priority_write::{PriorityCell, PriorityIndex};
 pub use scan::{exclusive_scan, inclusive_scan, par_exclusive_scan};

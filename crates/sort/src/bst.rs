@@ -7,7 +7,6 @@
 //! point is precisely that the randomness of the insertion order suffices.
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
-use pwe_primitives::layout::{BlockedTree, NO_NODE};
 
 /// Sentinel index for "no child".
 pub const EMPTY: usize = usize::MAX;
@@ -112,48 +111,6 @@ impl<K: Ord + Copy> Bst<K> {
                     return (Slot::Right(cur), visited);
                 }
                 cur = node.right;
-            }
-        }
-    }
-
-    /// A blocked-permutation snapshot of the current (frozen) tree for
-    /// cache-conscious batch locates: keys move into vEB-blocked order, and
-    /// [`Bst::locate_blocked`] descends the snapshot instead of the arena.
-    /// Purely derived, uncharged physical-layout maintenance — the snapshot
-    /// is read-only and the arena stays the source of truth.
-    pub fn blocked_snapshot(&self) -> BlockedTree<K> {
-        BlockedTree::build(
-            self.nodes.len(),
-            self.root,
-            |v| (self.nodes[v].left, self.nodes[v].right),
-            |v| self.nodes[v].key,
-        )
-    }
-
-    /// [`Bst::locate`] over a blocked snapshot taken by
-    /// [`Bst::blocked_snapshot`]: identical slot, visit count and ARAM
-    /// charges (one read per node visited, no writes); only the machine
-    /// addresses change.
-    pub fn locate_blocked(&self, b: &BlockedTree<K>, key: K) -> (Slot, u64) {
-        if b.root() == NO_NODE {
-            return (Slot::Root, 0);
-        }
-        let mut cur = b.root();
-        let mut visited = 0u64;
-        loop {
-            visited += 1;
-            record_read();
-            let bn = b.node(cur);
-            if key < bn.payload {
-                if bn.left == NO_NODE {
-                    return (Slot::Left(bn.orig as usize), visited);
-                }
-                cur = bn.left;
-            } else {
-                if bn.right == NO_NODE {
-                    return (Slot::Right(bn.orig as usize), visited);
-                }
-                cur = bn.right;
             }
         }
     }

@@ -39,12 +39,6 @@ use crate::bst::{Bst, Slot, EMPTY};
 /// `small_memory_incremental_sort` in `tests/small_memory.rs`).
 pub const SORT_SCRATCH_C: u64 = 10;
 
-/// Frozen-prefix size above which the batch locate of each round descends a
-/// vEB-blocked snapshot of the tree ([`Bst::blocked_snapshot`]) instead of
-/// the insertion-ordered arena.  Below this the whole tree fits in cache and
-/// the snapshot build is pure overhead.
-pub const LOCATE_BLOCK_MIN: usize = 4096;
-
 /// Statistics reported by [`incremental_sort_with_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalSortStats {
@@ -139,13 +133,6 @@ fn incremental_sort_impl<K: Ord + Copy + Send + Sync>(
         // splice loop below, after the semisort has produced its
         // deterministic, min-input-index-ordered groups — so the arena
         // layout is identical at every thread count.
-        // Once the frozen prefix is large enough, descend a vEB-blocked
-        // snapshot of it instead of the insertion-ordered arena: identical
-        // slots, visit counts and ARAM charges (`Bst::locate_blocked`), but
-        // the top of the tree packs into a handful of cache lines shared by
-        // every locate in the batch.  The snapshot is rebuilt per round
-        // because Step 4 splices fresh subtrees into the arena.
-        let snapshot = (tree.len() >= LOCATE_BLOCK_MIN).then(|| tree.blocked_snapshot());
         let locate_depth = RoundDepth::new();
         let located: Vec<(Slot, K)> = batch
             .par_iter()
@@ -153,10 +140,7 @@ fn incremental_sort_impl<K: Ord + Copy + Send + Sync>(
                 // Each locate task holds O(1) words of path registers.
                 let mut scratch = TaskScratch::new(&ledger);
                 scratch.alloc(2);
-                let (slot, visited) = match &snapshot {
-                    Some(b) => tree.locate_blocked(b, k),
-                    None => tree.locate(k),
-                };
+                let (slot, visited) = tree.locate(k);
                 locate_depth.record(visited);
                 (slot, k)
             })
