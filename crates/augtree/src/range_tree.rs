@@ -116,7 +116,8 @@ fn merge_runs(a: &[RtPoint], b: &[RtPoint]) -> Vec<RtPoint> {
 /// visited node.
 #[derive(Debug, Clone, Copy, Default)]
 struct RNode {
-    /// Split value: left subtree holds x < split, right subtree x ≥ split.
+    /// Split value: left subtree holds x ≤ split, right subtree x ≥ split
+    /// (points with x equal to the split can sit on both sides).
     split: f64,
     left: u32,
     right: u32,
@@ -702,17 +703,16 @@ impl RangeTree2D {
         self.push_node(hot, cold)
     }
 
-    /// Delete a point by id (tombstoning).  The whole tree is rebuilt once
-    /// more than half of the stored points are dead.
-    pub fn delete(&mut self, id: u64) -> bool {
-        if self.deleted.contains(&id) {
+    /// Delete a stored point (tombstoning), found by an x-descent to its
+    /// leaf: `O(log n)` reads for distinct x, plus one path per extra point
+    /// sharing `p`'s x.  Returns false if `p` is not stored or is already
+    /// deleted.  The whole tree is rebuilt once more than half of the stored
+    /// points are dead.
+    pub fn delete(&mut self, p: &RtPoint) -> bool {
+        if self.deleted.contains(&p.id) || !self.has_leaf(self.root, p) {
             return false;
         }
-        let exists = self.collect_live().iter().any(|p| p.id == id);
-        if !exists {
-            return false;
-        }
-        self.deleted.insert(id);
+        self.deleted.insert(p.id);
         record_writes(1);
         self.live -= 1;
         self.dead += 1;
@@ -724,6 +724,24 @@ impl RangeTree2D {
             self.rebuilds = rebuilds;
         }
         true
+    }
+
+    /// Whether a leaf below slot `v` stores `p`, one read per visited node.
+    /// Both children are taken where `p`'s x equals the split: the build
+    /// splits at the median's x and an insert's leaf split at the larger x,
+    /// so equal x can sit on both sides.
+    fn has_leaf(&self, v: u32, p: &RtPoint) -> bool {
+        if v == NONE {
+            return false;
+        }
+        record_read();
+        let node = &self.nodes[v as usize];
+        if node.flags & LEAF != 0 {
+            return self.cold[v as usize].leaf.as_ref() == Some(p);
+        }
+        let x = p.point.x();
+        (x <= node.split && self.has_leaf(node.left, p))
+            || (x >= node.split && self.has_leaf(node.right, p))
     }
 
     /// Append the live leaf points below slot `v` to `out`, left to right
@@ -1211,14 +1229,66 @@ mod tests {
         }
         // Delete the original points.
         for p in &initial {
-            assert!(tree.delete(p.id));
+            assert!(tree.delete(p));
         }
         reference.retain(|p| p.id >= 10_000);
         assert_eq!(tree.len(), 400);
         for rect in &random_query_rects(40, 0.25, 8) {
             assert_eq!(tree.query(rect), range_bruteforce(&reference, rect));
         }
-        assert!(!tree.delete(initial[0].id), "double delete must fail");
+        assert!(!tree.delete(&initial[0]), "double delete must fail");
+    }
+
+    /// One delete descends one root-to-leaf path for a distinct x, so its
+    /// reads grow with the depth, not with n.
+    #[test]
+    fn delete_reads_scale_with_depth() {
+        for n in [1_000usize, 10_000, 100_000] {
+            let points = make_points(n, 41);
+            let mut tree = RangeTree2D::build(&points, 8);
+            let victim = points[n / 3];
+            let (deleted, r) = measure(Omega::symmetric(), || tree.delete(&victim));
+            assert!(deleted, "n={n}");
+            let bound = 2 * depth::log2_ceil(n) + 2;
+            assert!(r.reads <= bound, "n={n}: {} reads > {bound}", r.reads);
+            assert_eq!(tree.len(), n - 1);
+            assert!(!tree
+                .query(&Rect::new(0.0, 1.0, 0.0, 1.0))
+                .contains(&victim.id));
+            // Absent points answer false: a tombstoned one, and a live id
+            // given with a point it is not stored at.
+            assert!(!tree.delete(&victim));
+            let moved = RtPoint {
+                point: Point2::xy(points[0].point.x() + 0.5, 0.5),
+                id: points[0].id,
+            };
+            assert!(!tree.delete(&moved));
+        }
+    }
+
+    /// Many points sharing one x sit on both sides of splits at that x; the
+    /// descent takes both children there and still finds every one of them,
+    /// paying for the shared-x subtrees only.
+    #[test]
+    fn delete_finds_every_point_among_many_equal_x() {
+        let n = 2_000;
+        let shared = 200;
+        let mut points = make_points(n, 43);
+        for p in &mut points[..shared] {
+            p.point = Point2::xy(0.5, p.point.y());
+        }
+        let mut tree = RangeTree2D::build(&points, 8);
+        let bound = 2 * shared as u64 + 4 * depth::log2_ceil(n);
+        for p in points[..shared].iter().rev() {
+            let (deleted, r) = measure(Omega::symmetric(), || tree.delete(p));
+            assert!(deleted, "id {}", p.id);
+            assert!(r.reads <= bound, "id {}: {} reads > {bound}", p.id, r.reads);
+        }
+        let reference = &points[shared..];
+        assert_eq!(tree.len(), n - shared);
+        for rect in &random_query_rects(30, 0.3, 44) {
+            assert_eq!(tree.query(rect), range_bruteforce(reference, rect));
+        }
     }
 
     #[test]

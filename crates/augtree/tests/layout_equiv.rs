@@ -74,9 +74,9 @@ fn query_all(parts: usize, query: impl Fn(usize) -> Vec<u64>) -> (Vec<u64>, u64,
     (ids, r, w)
 }
 
-/// The `speedup --queries` range rectangle shape (wide in x, thin in y):
-/// many fully-contained critical nodes, so most of the walk is the outer
-/// descent and the inner run searches.
+/// Range rectangles wide in x and thin in y: many fully-contained critical
+/// nodes, so most of the walk is the outer descent and the inner run
+/// searches.
 fn bench_rects(count: usize) -> Vec<Rect> {
     let mut state = 77u64 | 1;
     let mut next = move || {
@@ -183,7 +183,7 @@ proptest! {
                 for i in (0..n.min(mutations)).step_by(2) {
                     let id = pts[i].id;
                     its[part(intervals[i].id)].delete(&intervals[i]);
-                    rts[part(id)].delete(id);
+                    rts[part(id)].delete(&pts[i]);
                     psts[part(id)].delete(&PsPoint { point: pts[i].point, id });
                 }
             }

@@ -23,24 +23,11 @@
 //!   per-level-copy constructions vs the parallel allocation-lean engine;
 //!   `BENCH_augtree.json` holds committed trajectory points of this
 //!   schema).
-//! * **`--queries`** — the predicate-kernel A/B: one `query_compare` line
-//!   per query workload, timing the same predicate stream through a
-//!   "before" and an "after" kernel (`delaunay_locate`: the one-at-a-time
-//!   exact predicates against the width-filtered batch kernels;
-//!   `incircle_simd`: the scalar batch loop against the dispatched SIMD
-//!   kernel).  The stream is processed in batches of `--qbatch` queries
-//!   (default 256).  Both sides must report identical answers and
-//!   identical read/write/depth counters — the kernels are machine-level
-//!   rearrangements, invisible to the cost model — and the line records
-//!   both, so a committed `BENCH_queries.json` row is self-validating.  The
-//!   fields keep their historical names: `flat_*` is the before side,
-//!   `blocked_*` the after side.
 //! * **`--smoke`** — a tiny in-process sweep that validates the JSON
 //!   emitter and asserts the ω-crossover claim (at the largest swept ω the
-//!   write-efficient variant must cost less work), then runs every query
-//!   workload at a small n and asserts answer and counter equality of its
-//!   two sides; exits non-zero on violation.  CI runs this so
-//!   the emitter cannot silently rot.
+//!   write-efficient variant must cost less work and write less); exits
+//!   non-zero on violation.  CI runs this so the emitter cannot silently
+//!   rot.
 //!
 //! Every JSON row carries `threads_available` (detected parallelism) and
 //! `rayon_threads` (actual pool width), so committed trajectories from a
@@ -52,7 +39,6 @@
 //!   cargo run --release -p pwe-bench --bin speedup -- --threads 1,2,8
 //!   cargo run --release -p pwe-bench --bin speedup -- --sweep --ns 10000,50000
 //!   cargo run --release -p pwe-bench --bin speedup -- --sweep --workload sort --omegas 1,10,40
-//!   cargo run --release -p pwe-bench --bin speedup -- --queries --workload incircle_simd --n 200000
 //!   cargo run --release -p pwe-bench --bin speedup -- --smoke
 //!
 //! Speedup workloads: the theorem experiments (`sort`, `mergesort`,
@@ -68,8 +54,6 @@ use pwe_augtree::priority::{PrioritySearchTree, PsPoint};
 use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_delaunay::{triangulate_baseline, triangulate_write_efficient};
 use pwe_geom::generators::{random_intervals, uniform_grid_points, uniform_points_2d};
-use pwe_geom::predicates::is_ccw;
-use pwe_geom::{in_circle, in_circle_batch, in_circle_batch_scalar, GridPoint};
 use pwe_kdtree::build::{build_classic, build_p_batched, recommended_p};
 use pwe_primitives::scan::par_exclusive_scan;
 use pwe_primitives::semisort::semisort_by_key;
@@ -99,13 +83,6 @@ const SWEEP_WORKLOADS: &[&str] = &[
     "delaunay", "sort", "kdtree", "interval", "priority", "range",
 ];
 
-/// Query workloads: each times one predicate stream twice
-/// (`delaunay_locate` compares one-at-a-time exact predicates against the
-/// width-filtered batch kernels; `incircle_simd` compares the scalar batch
-/// loop against the dispatched AVX2 kernel).  Answers and read/write/depth
-/// counters must match exactly on every row (MODEL.md §3.3).
-const QUERY_WORKLOADS: &[&str] = &["delaunay_locate", "incircle_simd"];
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(workload) = arg_str(&args, "--child") {
@@ -121,12 +98,6 @@ fn main() {
         }
         return;
     }
-    if let Some(workload) = arg_str(&args, "--child-queries") {
-        let n = arg_usize(&args, "--n");
-        let qbatch = arg_usize(&args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-        println!("{}", run_query_child(&workload, n, qbatch));
-        return;
-    }
     if args.iter().any(|a| a == "--smoke") {
         run_smoke();
         return;
@@ -135,19 +106,8 @@ fn main() {
         run_sweep_parent(&args);
         return;
     }
-    if args.iter().any(|a| a == "--queries") {
-        run_queries_parent(&args);
-        return;
-    }
     run_parent(&args);
 }
-
-/// Default query-stream batch size for `--queries`.
-const DEFAULT_QBATCH: usize = 256;
-
-/// Signature shared by the two `incircle_simd` A/B sides (the scalar batch
-/// loop and the dispatched kernel).
-type InCircleBatchFn = dyn Fn(GridPoint, GridPoint, GridPoint, &[i64], &[i64], &mut [bool]);
 
 /// The `"threads_available":…,"rayon_threads":…` fragment every JSON row
 /// carries (container-vs-CI provenance of committed trajectories).
@@ -422,256 +382,6 @@ fn run_sweep_child(workload: &str, n: usize, omegas: &[usize]) -> Vec<String> {
         .collect()
 }
 
-/// The two timed sides (before, after) of one query comparison, plus the
-/// answer-checksum verdict.  Counters live inside the [`CostReport`]s; the
-/// caller asserts/reports their equality.
-struct QueryCompare {
-    n: usize,
-    queries: usize,
-    before: CostReport,
-    after: CostReport,
-    answers_equal: bool,
-}
-
-/// Run a measured stream `reps` times, keep the fastest run (the standard
-/// wall-clock-noise filter; the counters and the checksum are deterministic,
-/// so every repetition reports the same ones).
-fn best_of<T>(reps: usize, f: impl Fn() -> (T, CostReport)) -> (T, CostReport) {
-    let mut best = f();
-    for _ in 1..reps {
-        let run = f();
-        if run.1.elapsed < best.1.elapsed {
-            best = run;
-        }
-    }
-    best
-}
-
-/// Repetitions per timed side of a `query_compare` row.
-const QUERY_REPS: usize = 5;
-
-/// Run the same predicate stream through both sides of one workload (in
-/// `qbatch`-sized batches), and return both timings.  Query counts scale
-/// with n so `--smoke` stays cheap.
-fn run_query_compare(workload: &str, n_override: Option<usize>, qbatch: usize) -> QueryCompare {
-    let omega = Omega::new(1);
-    let qbatch = qbatch.max(1);
-    match workload {
-        "delaunay_locate" => {
-            // The point-location predicate stream: many in-circle tests of
-            // query points against fixed CCW triangles — the inner loop of
-            // the Delaunay engine's cavity assessment.  "Before" is the
-            // one-at-a-time exact i128 predicate; "after" stages the
-            // queries as SoA slices for the width-filtered batch kernel.
-            // Both sides are uncharged (the engine accounts per test), so
-            // the counter deltas are zero on both — equal by construction.
-            let n = n_override.unwrap_or(200_000);
-            let span = 1i64 << 20;
-            let tri_pts = uniform_grid_points(144, span, 7);
-            let triangles: Vec<(GridPoint, GridPoint, GridPoint)> = tri_pts
-                .chunks_exact(3)
-                .filter_map(|t| {
-                    if is_ccw(t[0], t[1], t[2]) {
-                        Some((t[0], t[1], t[2]))
-                    } else if is_ccw(t[0], t[2], t[1]) {
-                        Some((t[0], t[2], t[1]))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let queries = uniform_grid_points(n / triangles.len().max(1), span, 73);
-            let total = triangles.len() * queries.len();
-            let (sf, before) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    for &(a, b, c) in &triangles {
-                        for chunk in queries.chunks(qbatch) {
-                            for &d in chunk {
-                                acc = acc
-                                    .wrapping_mul(3)
-                                    .wrapping_add(u64::from(in_circle(a, b, c, d)));
-                            }
-                        }
-                    }
-                    acc
-                })
-            });
-            let (sb, after) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    let mut acc = 0u64;
-                    let mut dx = vec![0i64; qbatch];
-                    let mut dy = vec![0i64; qbatch];
-                    let mut out = vec![false; qbatch];
-                    for &(a, b, c) in &triangles {
-                        for chunk in queries.chunks(qbatch) {
-                            let m = chunk.len();
-                            for (i, d) in chunk.iter().enumerate() {
-                                dx[i] = d.x;
-                                dy[i] = d.y;
-                            }
-                            in_circle_batch(a, b, c, &dx[..m], &dy[..m], &mut out[..m]);
-                            for &inside in &out[..m] {
-                                acc = acc.wrapping_mul(3).wrapping_add(u64::from(inside));
-                            }
-                        }
-                    }
-                    acc
-                })
-            });
-            QueryCompare {
-                n,
-                queries: total,
-                before,
-                after,
-                answers_equal: sf == sb,
-            }
-        }
-        "incircle_simd" => {
-            // The SIMD A/B over the same staged SoA predicate storm:
-            // "before" is the scalar batch loop (the dispatch fallback and
-            // bit-equality oracle), "after" the public dispatcher — the
-            // explicit AVX2 kernel wherever the host has it.  Both sides
-            // are uncharged batch kernels (the engine accounts per test),
-            // so the counter deltas are zero on both — equal by
-            // construction; answers must be bit-equal.
-            let n = n_override.unwrap_or(200_000);
-            let span = 1i64 << 20;
-            let tri_pts = uniform_grid_points(144, span, 7);
-            let triangles: Vec<(GridPoint, GridPoint, GridPoint)> = tri_pts
-                .chunks_exact(3)
-                .filter_map(|t| {
-                    if is_ccw(t[0], t[1], t[2]) {
-                        Some((t[0], t[1], t[2]))
-                    } else if is_ccw(t[0], t[2], t[1]) {
-                        Some((t[0], t[2], t[1]))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let queries = uniform_grid_points(n / triangles.len().max(1), span, 73);
-            let total = triangles.len() * queries.len();
-            let run = |batch: &InCircleBatchFn| {
-                let mut acc = 0u64;
-                let mut dx = vec![0i64; qbatch];
-                let mut dy = vec![0i64; qbatch];
-                let mut out = vec![false; qbatch];
-                for &(a, b, c) in &triangles {
-                    for chunk in queries.chunks(qbatch) {
-                        let m = chunk.len();
-                        for (i, d) in chunk.iter().enumerate() {
-                            dx[i] = d.x;
-                            dy[i] = d.y;
-                        }
-                        batch(a, b, c, &dx[..m], &dy[..m], &mut out[..m]);
-                        for &inside in &out[..m] {
-                            acc = acc.wrapping_mul(3).wrapping_add(u64::from(inside));
-                        }
-                    }
-                }
-                acc
-            };
-            let (sf, before) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    run(&|a, b, c, dx, dy, out| in_circle_batch_scalar(a, b, c, dx, dy, out))
-                })
-            });
-            let (sb, after) = best_of(QUERY_REPS, || {
-                measure(omega, || {
-                    run(&|a, b, c, dx, dy, out| in_circle_batch(a, b, c, dx, dy, out))
-                })
-            });
-            QueryCompare {
-                n,
-                queries: total,
-                before,
-                after,
-                answers_equal: sf == sb,
-            }
-        }
-        other => {
-            eprintln!("unknown query workload {other:?}; expected one of {QUERY_WORKLOADS:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// One `query_compare` JSON line for a child whose pool size is fixed.
-fn run_query_child(workload: &str, n_override: Option<usize>, qbatch: usize) -> String {
-    let threads = rayon::current_num_threads();
-    let c = run_query_compare(workload, n_override, qbatch);
-    let before_ms = c.before.elapsed.as_secs_f64() * 1e3;
-    let after_ms = c.after.elapsed.as_secs_f64() * 1e3;
-    let counters_equal = c.before.reads == c.after.reads
-        && c.before.writes == c.after.writes
-        && c.before.depth == c.after.depth;
-    format!(
-        "{{\"mode\":\"query_compare\",\"workload\":\"{workload}\",\"n\":{},\
-         \"queries\":{},\"qbatch\":{qbatch},\"threads\":{threads},{},\
-         \"flat_millis\":{before_ms:.3},\"blocked_millis\":{after_ms:.3},\
-         \"gain\":{:.3},\
-         \"flat_reads\":{},\"blocked_reads\":{},\
-         \"flat_writes\":{},\"blocked_writes\":{},\
-         \"counters_equal\":{counters_equal},\"answers_equal\":{}}}",
-        c.n,
-        c.queries,
-        thread_fields(),
-        before_ms / after_ms.max(1e-9),
-        c.before.reads,
-        c.after.reads,
-        c.before.writes,
-        c.after.writes,
-        c.answers_equal,
-    )
-}
-
-/// The query A/B across workloads (one child per
-/// `(workload, threads)` so the pool width is honest).
-fn run_queries_parent(args: &[String]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let n_override = arg_usize(args, "--n");
-    let qbatch = arg_usize(args, "--qbatch").unwrap_or(DEFAULT_QBATCH);
-    let workloads: Vec<String> = match arg_str(args, "--workload") {
-        Some(w) => vec![w],
-        None => QUERY_WORKLOADS.iter().map(|w| w.to_string()).collect(),
-    };
-    let threads: Vec<usize> = match arg_str(args, "--threads") {
-        Some(list) => parse_list(&list),
-        None => vec![std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)],
-    };
-
-    for workload in &workloads {
-        for &t in &threads {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("--child-queries").arg(workload);
-            if let Some(n) = n_override {
-                cmd.arg("--n").arg(n.to_string());
-            }
-            cmd.arg("--qbatch").arg(qbatch.to_string());
-            cmd.env("RAYON_NUM_THREADS", t.to_string());
-            let out = cmd.output().expect("failed to spawn query child");
-            if !out.status.success() {
-                eprintln!(
-                    "query child ({workload}, {t} threads) failed: {}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                std::process::exit(1);
-            }
-            let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            println!("{line}");
-            let before_ms = json_f64(&line, "flat_millis").unwrap_or(0.0);
-            let after_ms = json_f64(&line, "blocked_millis").unwrap_or(0.0);
-            let gain = json_f64(&line, "gain").unwrap_or(0.0);
-            eprintln!(
-                "{workload:<15} threads={t:<3} before {before_ms:>9.2} ms   after {after_ms:>9.2} ms   gain {gain:>5.2}x"
-            );
-        }
-    }
-}
-
 /// The n × ω × threads crossover sweep (re-executing one child per
 /// `(workload, n, threads)`; ω rows are derived inside the child).
 fn run_sweep_parent(args: &[String]) {
@@ -781,31 +491,6 @@ fn run_smoke() {
         );
     }
     eprintln!("sweep smoke ok");
-
-    // Query A/B: at a small n, every compared pair must agree on every
-    // answer and every counter — the "after" side is machine bookkeeping
-    // (batch or SIMD kernel), invisible to the ARAM model.  (No
-    // wall-clock assertion here; gains are claimed only by committed
-    // full-size BENCH rows.)
-    for workload in QUERY_WORKLOADS {
-        let line = run_query_child(workload, Some(20_000), DEFAULT_QBATCH);
-        for key in ["n", "queries", "qbatch", "flat_millis", "blocked_millis"] {
-            assert!(
-                json_f64(&line, key).is_some(),
-                "smoke: key {key:?} missing or non-numeric in {line}"
-            );
-        }
-        assert!(
-            line.contains("\"counters_equal\":true"),
-            "smoke: {workload} after side moved the counters: {line}"
-        );
-        assert!(
-            line.contains("\"answers_equal\":true"),
-            "smoke: {workload} after side changed an answer: {line}"
-        );
-        println!("{line}");
-    }
-    eprintln!("query smoke ok");
 }
 
 /// Parse a comma-separated list of positive integers; a malformed token is

@@ -36,29 +36,12 @@
 //! exactly as they did calling the scalar predicates one at a time
 //! (MODEL.md §5).
 //!
-//! **Dispatch.**  [`orient2d_batch`] and [`in_circle_batch`] are thin
-//! dispatchers: on x86-64 with AVX2 they run the explicit 4×`i64`-lane
-//! kernels in [`crate::simd`]; everywhere else (and when the
-//! `PWE_FORCE_SCALAR` environment variable is set — the knob CI uses to
-//! exercise the fallback arm on AVX2 hosts) they run the scalar loops,
-//! which stay public as [`orient2d_batch_scalar`] /
-//! [`in_circle_batch_scalar`] — the portable fallback *and* the
-//! bit-equality oracle the `simd_equiv` proptests pin the kernels against.
-//! The feature probe runs once per process (`OnceLock`); both arms are
-//! exact, so which one runs is unobservable in answers and counters.
+//! The batch entry points are plain scalar loops: the arithmetic is
+//! uncharged machine work, and an explicit SIMD variant did not pay end to
+//! end (MODEL.md §5).
 
 use crate::point::GridPoint;
 use crate::predicates::in_circle_det;
-
-/// One-shot dispatch decision: explicit SIMD kernels unless the platform
-/// lacks AVX2 or the `PWE_FORCE_SCALAR` knob pins the scalar oracle.
-#[cfg(target_arch = "x86_64")]
-fn use_simd() -> bool {
-    static USE_SIMD: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *USE_SIMD.get_or_init(|| {
-        std::env::var_os("PWE_FORCE_SCALAR").is_none() && is_x86_feature_detected!("avx2")
-    })
-}
 
 /// Differences at or above this magnitude leave the all-`i64` in-circle
 /// tier: `12·M⁴` must stay below `2⁶³`, which holds for `M < 2^14.8`.
@@ -78,8 +61,7 @@ const ORIENT_I64_LIMIT: i64 = 1 << 30;
 /// `i`, `out[i] = sign((b−a)×(c−a))` — `+1` counter-clockwise, `-1`
 /// clockwise, `0` collinear.  All six slices and `out` must share one
 /// length.  Bit-equal to [`crate::predicates::orient2d_det`]'s sign on
-/// every input; uncharged (callers account per test).  Dispatches to the
-/// AVX2 kernel where available (module doc).
+/// every input; uncharged (callers account per test).
 #[allow(clippy::too_many_arguments)]
 pub fn orient2d_batch(
     ax: &[i64],
@@ -100,29 +82,6 @@ pub fn orient2d_batch(
             && cy.len() == n,
         "orient2d_batch: SoA slice lengths must match"
     );
-    #[cfg(target_arch = "x86_64")]
-    if use_simd() {
-        // SAFETY: the kernel's only requirement is that AVX2 is available
-        // on this CPU — exactly what use_simd()'s runtime probe verified.
-        unsafe { crate::simd::orient2d_batch_avx2(ax, ay, bx, by, cx, cy, out) };
-        return;
-    }
-    orient2d_batch_scalar(ax, ay, bx, by, cx, cy, out);
-}
-
-/// The portable scalar loop behind [`orient2d_batch`] — the fallback arm of
-/// the dispatcher and the bit-equality oracle for the SIMD kernel.  Callers
-/// must pass equal-length slices (the dispatcher checks).
-#[allow(clippy::too_many_arguments)]
-pub fn orient2d_batch_scalar(
-    ax: &[i64],
-    ay: &[i64],
-    bx: &[i64],
-    by: &[i64],
-    cx: &[i64],
-    cy: &[i64],
-    out: &mut [i8],
-) {
     for i in 0..out.len() {
         let abx = bx[i] - ax[i];
         let aby = by[i] - ay[i];
@@ -144,8 +103,7 @@ pub fn orient2d_batch_scalar(
 /// **counter-clockwise** triangle `(a, b, c)`: `out[i]` is true iff
 /// `(dx[i], dy[i])` lies strictly inside the circumcircle.  Bit-equal to
 /// [`crate::predicates::in_circle`] on every input (the width filter never
-/// changes the value — module doc); uncharged.  Dispatches to the AVX2
-/// kernel where available (module doc).
+/// changes the value — module doc); uncharged.
 pub fn in_circle_batch(
     a: GridPoint,
     b: GridPoint,
@@ -159,26 +117,6 @@ pub fn in_circle_batch(
         dx.len() == n && dy.len() == n,
         "in_circle_batch: SoA slice lengths must match"
     );
-    #[cfg(target_arch = "x86_64")]
-    if use_simd() {
-        // SAFETY: the kernel's only requirement is that AVX2 is available
-        // on this CPU — exactly what use_simd()'s runtime probe verified.
-        unsafe { crate::simd::in_circle_batch_avx2(a, b, c, dx, dy, out) };
-        return;
-    }
-    in_circle_batch_scalar(a, b, c, dx, dy, out);
-}
-
-/// The portable scalar loop behind [`in_circle_batch`] — the fallback arm
-/// of the dispatcher and the bit-equality oracle for the SIMD kernel.
-pub fn in_circle_batch_scalar(
-    a: GridPoint,
-    b: GridPoint,
-    c: GridPoint,
-    dx: &[i64],
-    dy: &[i64],
-    out: &mut [bool],
-) {
     for i in 0..out.len() {
         out[i] = in_circle_filtered(a, b, c, dx[i], dy[i]);
     }
@@ -242,9 +180,16 @@ mod tests {
         orient2d_det(a, b, c).signum() as i8
     }
 
+    /// A point with raw coordinates, past the grid bound where a case needs
+    /// it (`GridPoint::new` debug-asserts the bound; the `i128` reference
+    /// forms are exact at any `i64` magnitude used here).
+    fn raw(x: i64, y: i64) -> GridPoint {
+        GridPoint { x, y }
+    }
+
     #[test]
     fn orient_batch_matches_scalar_on_degenerate_and_extreme_inputs() {
-        let cases = [
+        let mut cases = vec![
             (p(0, 0), p(1, 0), p(0, 1)),
             (p(0, 0), p(1, 1), p(2, 2)), // collinear
             (
@@ -258,6 +203,27 @@ mod tests {
                 p(0, 0), // exactly on it
             ),
         ];
+        // Magnitudes pinned at ±1 around every width-filter boundary, where
+        // an unsound filter would first lie: a right triangle, its mirror
+        // image and a collinear triple per magnitude, in one batch.
+        let mags = [
+            1,
+            IN_CIRCLE_I64_LIMIT - 1,
+            IN_CIRCLE_I64_LIMIT,
+            IN_CIRCLE_I64_LIMIT + 1,
+            GRID_LIMIT - 1,
+            IN_CIRCLE_WIDE_LIMIT - 1,
+            IN_CIRCLE_WIDE_LIMIT,
+            IN_CIRCLE_WIDE_LIMIT + 1,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 31) + 1,
+        ];
+        for m in mags {
+            cases.push((raw(0, 0), raw(m, 0), raw(0, m)));
+            cases.push((raw(0, 0), raw(0, m), raw(m, 0)));
+            cases.push((raw(0, 0), raw(m, m), raw(2 * m, 2 * m)));
+        }
         let ax: Vec<i64> = cases.iter().map(|t| t.0.x).collect();
         let ay: Vec<i64> = cases.iter().map(|t| t.0.y).collect();
         let bx: Vec<i64> = cases.iter().map(|t| t.1.x).collect();
@@ -273,10 +239,23 @@ mod tests {
 
     #[test]
     fn in_circle_batch_crosses_every_filter_tier() {
-        // One triangle per tier: tiny (i64 tier), medium (widening tier),
-        // grid-extreme (i128 fallback) — including exact-boundary queries
-        // where the determinant is 0 and "strictly inside" must be false.
-        for scale in [1i64, 1 << 12, 1 << 18, GRID_LIMIT / 4] {
+        // One triangle per scale: tiny (i64 tier), medium (widening tier),
+        // grid-extreme, and ±1 around the all-i64 limit and at half the
+        // grid (the deepest in-grid magnitudes, since 2·m ≤ GRID_LIMIT) —
+        // including exact-boundary queries where the determinant is 0 and
+        // "strictly inside" must be false.
+        let scales = [
+            1i64,
+            1 << 12,
+            IN_CIRCLE_I64_LIMIT - 1,
+            IN_CIRCLE_I64_LIMIT,
+            IN_CIRCLE_I64_LIMIT + 1,
+            1 << 18,
+            GRID_LIMIT / 4,
+            GRID_LIMIT / 2 - 1,
+            GRID_LIMIT / 2,
+        ];
+        for scale in scales {
             let (a, b, c) = (p(0, 0), p(2 * scale, 0), p(0, 2 * scale));
             let queries = [
                 (scale, scale),         // centre: inside
@@ -292,7 +271,7 @@ mod tests {
             for (i, &(qx, qy)) in queries.iter().enumerate() {
                 assert_eq!(
                     out[i],
-                    in_circle(a, b, c, p(qx, qy)),
+                    in_circle(a, b, c, raw(qx, qy)),
                     "scale={scale} query {i}"
                 );
             }

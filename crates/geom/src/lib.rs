@@ -11,11 +11,8 @@
 //! * [`batch`] — batched SoA variants of the predicates with an exact
 //!   integer width filter: most tests settle in `i64`, only
 //!   large-magnitude differences fall back to the `i128` path.  Bit-equal
-//!   to the scalar predicates on every input.
-//! * [`simd`] *(x86-64)* — explicit AVX2 kernels (4×`i64` lanes, vectorized
-//!   width filter) behind the runtime dispatch in [`batch`]; the scalar
-//!   loops stay as the portable fallback and bit-equality oracle, and
-//!   `PWE_FORCE_SCALAR` pins the scalar arm for testing.
+//!   to the `i128` predicates on every input, which stay as the reference
+//!   oracle; [`in_circle_filtered`] is the production in-circle test.
 //! * [`bbox`] — axis-aligned boxes and rectangles for k-d tree regions and
 //!   range queries.
 //! * [`interval`] — closed intervals for the interval tree / stabbing queries.
@@ -29,13 +26,8 @@ pub mod generators;
 pub mod interval;
 pub mod point;
 pub mod predicates;
-#[cfg(target_arch = "x86_64")]
-pub mod simd;
 
-pub use batch::{
-    in_circle_batch, in_circle_batch_scalar, in_circle_filtered, orient2d_batch,
-    orient2d_batch_scalar,
-};
+pub use batch::{in_circle_batch, in_circle_filtered, orient2d_batch};
 pub use bbox::{BBoxK, Rect};
 pub use interval::Interval;
 pub use point::{GridPoint, Point2, PointK};

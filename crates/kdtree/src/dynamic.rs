@@ -7,50 +7,34 @@
 //! * [`LogarithmicKdForest`] — the logarithmic method (Overmars \[46\]): keep
 //!   at most `log₂ n` trees of sizes that are distinct powers of two; an
 //!   insertion merges equal-sized trees like a binary counter.  Updates cost
-//!   `O(log² n)` reads/writes amortized — and when the merged trees are
-//!   rebuilt with the *p-batched* construction, the writes drop by a
-//!   `Θ(log n)` factor to `O(log n)` amortized, which is the ablation the
-//!   E-kd-dyn experiment measures.
+//!   `O(log² n)` reads amortized, and because merged trees are rebuilt with
+//!   the *p-batched* construction the writes are `O(log n)` amortized, a
+//!   `Θ(log n)` factor below classic rebuilds.
 //! * [`DynamicKdTree`] — the single-tree variant: tolerate a bounded
 //!   imbalance between sibling subtree weights and rebuild the topmost
 //!   subtree that exceeds it.  Deletions mark points and trigger a full
 //!   rebuild once a constant fraction of the tree is dead.
+//!
+//! Both rebuild with the p-batched construction only; the classic one
+//! ([`crate::build::build_classic`]) stays as the static baseline.
 
 use pwe_asym::counters::{record_read, record_reads, record_writes};
 use pwe_geom::bbox::BBoxK;
 use pwe_geom::point::PointK;
 use pwe_primitives::hash::{DetHashMap, DetHashSet};
 
-use crate::build::{build_classic, build_p_batched, recommended_p, DEFAULT_LEAF_CAPACITY};
+use crate::build::{build_p_batched, recommended_p, DEFAULT_LEAF_CAPACITY};
 use crate::tree::{KdTree, EMPTY};
 
-/// Which construction algorithm the dynamic structures use when they rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RebuildStrategy {
-    /// Rebuild with the classic `Θ(n log n)`-write construction.
-    Classic,
-    /// Rebuild with the write-efficient p-batched construction.
-    #[default]
-    PBatched,
-}
-
-fn rebuild<const K: usize>(
-    points: &[PointK<K>],
-    strategy: RebuildStrategy,
-    seed: u64,
-) -> KdTree<K> {
-    match strategy {
-        RebuildStrategy::Classic => build_classic(points, DEFAULT_LEAF_CAPACITY),
-        RebuildStrategy::PBatched => {
-            build_p_batched(
-                points,
-                recommended_p(points.len().max(16)),
-                DEFAULT_LEAF_CAPACITY,
-                seed,
-            )
-            .0
-        }
-    }
+/// Rebuild `points` with the write-efficient p-batched construction.
+fn rebuild<const K: usize>(points: &[PointK<K>], seed: u64) -> KdTree<K> {
+    build_p_batched(
+        points,
+        recommended_p(points.len().max(16)),
+        DEFAULT_LEAF_CAPACITY,
+        seed,
+    )
+    .0
 }
 
 // ---------------------------------------------------------------------------
@@ -70,7 +54,6 @@ struct ForestTree<const K: usize> {
 pub struct LogarithmicKdForest<const K: usize> {
     /// `slots[i]` holds a tree with exactly `2^i` (live or dead) points.
     slots: Vec<Option<ForestTree<K>>>,
-    strategy: RebuildStrategy,
     next_id: u64,
     live: usize,
     dead: usize,
@@ -79,12 +62,17 @@ pub struct LogarithmicKdForest<const K: usize> {
     seed: u64,
 }
 
+impl<const K: usize> Default for LogarithmicKdForest<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<const K: usize> LogarithmicKdForest<K> {
-    /// An empty forest rebuilding with the given strategy.
-    pub fn new(strategy: RebuildStrategy) -> Self {
+    /// An empty forest.
+    pub fn new() -> Self {
         LogarithmicKdForest {
             slots: Vec::new(),
-            strategy,
             next_id: 0,
             live: 0,
             dead: 0,
@@ -111,8 +99,8 @@ impl<const K: usize> LogarithmicKdForest<K> {
 
     /// Insert a point; returns its id (used for deletion).
     ///
-    /// Amortized `O(log² n)` reads; writes depend on the rebuild strategy
-    /// (`O(log² n)` classic, `O(log n)` with p-batched rebuilds).
+    /// Amortized `O(log² n)` reads and `O(log n)` writes (p-batched
+    /// rebuilds).
     pub fn insert(&mut self, point: PointK<K>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -139,7 +127,7 @@ impl<const K: usize> LogarithmicKdForest<K> {
         }
         debug_assert_eq!(points.len(), 1 << level);
         self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let tree = rebuild(&points, self.strategy, self.seed);
+        let tree = rebuild(&points, self.seed);
         // The p-batched rebuild permutes the points internally; re-associate
         // ids by matching storage order.
         let ids = reorder_ids(&points, &ids, tree.points());
@@ -198,7 +186,7 @@ impl<const K: usize> LogarithmicKdForest<K> {
             let chunk_ids = &ids[start..start + size];
             start += size;
             self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let tree = rebuild(chunk_points, self.strategy, self.seed);
+            let tree = rebuild(chunk_points, self.seed);
             let ids = reorder_ids(chunk_points, chunk_ids, tree.points());
             self.slots[bit] = Some(ForestTree { tree, ids });
         }
@@ -279,7 +267,6 @@ pub struct DynamicKdTree<const K: usize> {
     dead: usize,
     /// Maximum tolerated fraction `max(|L|,|R|)/|v|` before a rebuild.
     imbalance: f64,
-    strategy: RebuildStrategy,
     next_id: u64,
     seed: u64,
     /// Number of subtree rebuilds performed (diagnostic).
@@ -293,13 +280,13 @@ impl<const K: usize> DynamicKdTree<K> {
     /// values closer to `1.0` rebuild less often but give taller trees.  The
     /// paper uses `1/2 + O(1/log n)` for range-query-optimal trees and any
     /// constant < 1 for ANN-friendly trees.
-    pub fn new(points: &[PointK<K>], imbalance: f64, strategy: RebuildStrategy) -> Self {
+    pub fn new(points: &[PointK<K>], imbalance: f64) -> Self {
         assert!(
             (0.5..1.0).contains(&imbalance),
             "imbalance fraction must be in [0.5, 1.0)"
         );
         let seed = 0xA24BAED4963EE407;
-        let mut tree = rebuild(points, strategy, seed);
+        let mut tree = rebuild(points, seed);
         crate::build::recompute_sizes(&mut tree);
         let n = points.len();
         // The rebuild may permute the storage order; associate ids with the
@@ -312,7 +299,6 @@ impl<const K: usize> DynamicKdTree<K> {
             live: n,
             dead: 0,
             imbalance,
-            strategy,
             next_id: n as u64,
             seed,
             rebuilds: 0,
@@ -432,7 +418,7 @@ impl<const K: usize> DynamicKdTree<K> {
 
     fn full_rebuild_with(&mut self, points: Vec<PointK<K>>, ids: Vec<u64>) {
         self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut tree = rebuild(&points, self.strategy, self.seed);
+        let mut tree = rebuild(&points, self.seed);
         crate::build::recompute_sizes(&mut tree);
         let ids = reorder_ids(&points, &ids, tree.points());
         self.deleted = vec![false; tree.len()];
@@ -464,7 +450,7 @@ impl<const K: usize> DynamicKdTree<K> {
             .map(|&pi| self.tree.points[pi as usize])
             .collect();
         self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut sub = rebuild(&subtree_points, self.strategy, self.seed);
+        let mut sub = rebuild(&subtree_points, self.seed);
         crate::build::recompute_sizes(&mut sub);
         // Remap the rebuilt subtree's point references back to the main
         // tree's point indices (matching by coordinates, as in reorder_ids).
@@ -536,7 +522,7 @@ mod tests {
 
     #[test]
     fn forest_insert_and_query() {
-        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
+        let mut forest = LogarithmicKdForest::<2>::new();
         let pts = uniform_points_2d(500, 1);
         let mut reference = Vec::new();
         for p in &pts {
@@ -559,7 +545,7 @@ mod tests {
 
     #[test]
     fn forest_deletions_and_rebuild() {
-        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::Classic);
+        let mut forest = LogarithmicKdForest::<2>::new();
         let pts = uniform_points_2d(300, 2);
         let ids: Vec<u64> = pts.iter().map(|p| forest.insert(*p)).collect();
         // Delete two thirds; this must trigger the global rebuild.
@@ -585,7 +571,7 @@ mod tests {
 
     #[test]
     fn forest_nearest_skips_deleted() {
-        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
+        let mut forest = LogarithmicKdForest::<2>::new();
         let a = forest.insert(PointK::new([0.1, 0.1]));
         let _b = forest.insert(PointK::new([0.9, 0.9]));
         let q = PointK::new([0.0, 0.0]);
@@ -605,9 +591,9 @@ mod tests {
     #[test]
     fn nearest_skips_tombstones_like_bruteforce() {
         let pts = uniform_points_2d(3000, 12);
-        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
+        let mut forest = LogarithmicKdForest::<2>::new();
         let ids: Vec<u64> = pts.iter().map(|p| forest.insert(*p)).collect();
-        let mut single = DynamicKdTree::new(&pts, 0.7, RebuildStrategy::PBatched);
+        let mut single = DynamicKdTree::new(&pts, 0.7);
         // A third of the points die: below both rebuild thresholds, so the
         // descents must step over tombstones.
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
@@ -635,7 +621,7 @@ mod tests {
     #[test]
     fn forest_nearest_reads_stay_sublinear() {
         let n = 20_000;
-        let mut forest = LogarithmicKdForest::<2>::new(RebuildStrategy::PBatched);
+        let mut forest = LogarithmicKdForest::<2>::new();
         let ids: Vec<u64> = uniform_points_2d(n, 15)
             .iter()
             .map(|p| forest.insert(*p))
@@ -654,7 +640,7 @@ mod tests {
     #[test]
     fn single_tree_insert_query_delete() {
         let initial = uniform_points_2d(400, 3);
-        let mut dyn_tree = DynamicKdTree::new(&initial, 0.65, RebuildStrategy::PBatched);
+        let mut dyn_tree = DynamicKdTree::new(&initial, 0.65);
         let mut reference: Vec<(u64, PointK<2>)> =
             (0..400u64).zip(initial.iter().copied()).collect();
 
@@ -697,7 +683,7 @@ mod tests {
 
     #[test]
     fn single_tree_from_empty() {
-        let mut dyn_tree = DynamicKdTree::<2>::new(&[], 0.7, RebuildStrategy::Classic);
+        let mut dyn_tree = DynamicKdTree::<2>::new(&[], 0.7);
         assert!(dyn_tree.is_empty());
         let id = dyn_tree.insert(PointK::new([0.5, 0.5]));
         assert_eq!(dyn_tree.len(), 1);
@@ -710,7 +696,7 @@ mod tests {
     #[test]
     fn single_tree_nearest_after_deletion() {
         let pts = uniform_points_2d(100, 9);
-        let mut dyn_tree = DynamicKdTree::new(&pts, 0.7, RebuildStrategy::Classic);
+        let mut dyn_tree = DynamicKdTree::new(&pts, 0.7);
         let q = PointK::new([0.5, 0.5]);
         let (first_id, first_p) = dyn_tree.nearest(&q).unwrap();
         dyn_tree.delete(first_id);

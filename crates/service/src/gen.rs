@@ -28,7 +28,7 @@ use pwe_augtree::range_tree::{RangeTree2D, RtPoint};
 use pwe_delaunay::mesh::TriMesh;
 use pwe_delaunay::write_efficient::triangulate_write_efficient;
 use pwe_geom::bbox::{BBoxK, Rect};
-use pwe_geom::in_circle;
+use pwe_geom::in_circle_filtered;
 use pwe_geom::interval::Interval;
 use pwe_geom::point::{GridPoint, Point2};
 use pwe_geom::predicates::orient2d_det;
@@ -358,11 +358,12 @@ impl TraceDag for LocateDag<'_> {
 
     fn visible(&self, q: &GridPoint, v: usize) -> bool {
         let tri = self.mesh.triangle(v as u32);
-        in_circle(
+        in_circle_filtered(
             self.mesh.points[tri.v[0] as usize],
             self.mesh.points[tri.v[1] as usize],
             self.mesh.points[tri.v[2] as usize],
-            *q,
+            q.x,
+            q.y,
         )
     }
 

@@ -84,6 +84,42 @@ struct ShardHealth {
     last_error: Option<String>,
 }
 
+impl ShardHealth {
+    /// Whether a rebuild attempt is due at `tick`: the entry is healthy, or
+    /// its quarantine backoff window has passed.
+    fn due(&self, tick: u64) -> bool {
+        !self.quarantined || tick >= self.retry_at_tick
+    }
+
+    /// Apply one contained attempt's outcome at `tick`, counted in `stats`:
+    /// success resets the health (a recovery if quarantined) and hands the
+    /// build back; failure quarantines the entry with the next backoff.
+    fn record<T>(
+        &mut self,
+        outcome: Result<T, String>,
+        tick: u64,
+        stats: &mut ServiceStats,
+    ) -> Option<T> {
+        match outcome {
+            Ok(built) => {
+                if self.quarantined {
+                    stats.rebuild_recoveries += 1;
+                }
+                *self = ShardHealth::default();
+                Some(built)
+            }
+            Err(cause) => {
+                stats.rebuild_failures += 1;
+                self.quarantined = true;
+                self.failed_attempts += 1;
+                self.retry_at_tick = tick + backoff_ticks(self.failed_attempts);
+                self.last_error = Some(cause);
+                None
+            }
+        }
+    }
+}
+
 /// Writer-side containment counters (monotone over the service lifetime;
 /// all zero outside an armed fault plan).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -358,53 +394,25 @@ impl GeometryService {
         // attempt contained.  Due: dirty, and not inside a quarantine
         // backoff window.
         let mut jobs: Vec<RebuildSlot> = (0..self.router.shards())
-            .filter(|&s| {
-                w.dirty[s] && (!w.health[s].quarantined || w.tick >= w.health[s].retry_at_tick)
-            })
+            .filter(|&s| w.dirty[s] && w.health[s].due(w.tick))
             .map(|s| (s, None))
             .collect();
         rebuild_jobs(&w.shards, &mut jobs);
         for (s, slot) in jobs {
-            match slot.expect("every due slot attempted") {
-                Ok(g) => {
-                    w.built[s] = g;
-                    w.dirty[s] = false;
-                    if w.health[s].quarantined {
-                        w.stats.rebuild_recoveries += 1;
-                    }
-                    w.health[s] = ShardHealth::default();
-                }
-                Err(cause) => {
-                    w.stats.rebuild_failures += 1;
-                    let h = &mut w.health[s];
-                    h.quarantined = true;
-                    h.failed_attempts += 1;
-                    h.retry_at_tick = w.tick + backoff_ticks(h.failed_attempts);
-                    h.last_error = Some(cause);
-                }
+            let outcome = slot.expect("every due slot attempted");
+            if let Some(g) = w.health[s].record(outcome, w.tick, &mut w.stats) {
+                w.built[s] = g;
+                w.dirty[s] = false;
             }
         }
 
         // The replicated mesh rebuilds sequentially in the writer (it is
         // one engine run, internally parallel), under the same contract.
-        if w.sites_dirty && (!w.mesh_health.quarantined || w.tick >= w.mesh_health.retry_at_tick) {
-            match contained_mesh_build(&w.sites, &w.site_ids) {
-                Ok(m) => {
-                    w.mesh_built = m;
-                    w.sites_dirty = false;
-                    if w.mesh_health.quarantined {
-                        w.stats.rebuild_recoveries += 1;
-                    }
-                    w.mesh_health = ShardHealth::default();
-                }
-                Err(cause) => {
-                    w.stats.rebuild_failures += 1;
-                    let h = &mut w.mesh_health;
-                    h.quarantined = true;
-                    h.failed_attempts += 1;
-                    h.retry_at_tick = w.tick + backoff_ticks(h.failed_attempts);
-                    h.last_error = Some(cause);
-                }
+        if w.sites_dirty && w.mesh_health.due(w.tick) {
+            let outcome = contained(|| MeshGen::try_build(&w.sites, &w.site_ids));
+            if let Some(m) = w.mesh_health.record(outcome, w.tick, &mut w.stats) {
+                w.mesh_built = m;
+                w.sites_dirty = false;
             }
         }
 
@@ -614,38 +622,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One contained shard rebuild attempt: run the fallible build under
-/// `catch_unwind`, mapping both failure shapes (injected error, caught
-/// panic) to the quarantine cause.  No panic crosses this function — that
-/// is the "zero panics escape the writer loop" guarantee.
-fn contained_build(data: &ShardData, shard: usize) -> Result<Arc<ShardGen>, String> {
-    // UnwindSafe audit: the closure only *reads* `data` (shared borrow of
-    // plain element vectors — nothing is mutated across the unwind
-    // boundary, so no caller-visible invariant can be observed broken);
-    // the builders write exclusively into locals that unwinding frees,
+/// One contained rebuild attempt (a shard bundle or the mesh): run the
+/// fallible build under `catch_unwind`, mapping both failure shapes
+/// (injected error, caught panic) to the quarantine cause.  No panic
+/// crosses this function — that is the "zero panics escape the writer
+/// loop" guarantee.
+fn contained<T, E: std::fmt::Display>(
+    build: impl FnOnce() -> Result<T, E>,
+) -> Result<Arc<T>, String> {
+    // UnwindSafe audit: the builds only *read* their inputs (shared
+    // borrows of plain element vectors — nothing is mutated across the
+    // unwind boundary, so no caller-visible invariant can be observed
+    // broken); they write exclusively into locals that unwinding frees,
     // and the process-wide state they touch (rayon pool, racecheck
     // ledger, faultpoint counters) keeps its invariants across unwinds
     // via its own locking and poison recovery.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ShardGen::try_build(data, shard as u64)
-    }));
-    match result {
-        Ok(Ok(g)) => Ok(Arc::new(g)),
-        Ok(Err(fault)) => Err(fault.to_string()),
-        Err(payload) => Err(panic_message(payload)),
-    }
-}
-
-/// One contained mesh rebuild attempt; same contract as
-/// [`contained_build`].
-fn contained_mesh_build(sites: &[GridPoint], site_ids: &[u64]) -> Result<Arc<MeshGen>, String> {
-    // UnwindSafe audit: identical to `contained_build` — read-only
-    // captures, locals freed by unwinding, shared state panic-tolerant.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        MeshGen::try_build(sites, site_ids)
-    }));
-    match result {
-        Ok(Ok(m)) => Ok(Arc::new(m)),
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
+        Ok(Ok(built)) => Ok(Arc::new(built)),
         Ok(Err(fault)) => Err(fault.to_string()),
         Err(payload) => Err(panic_message(payload)),
     }
@@ -671,14 +664,14 @@ fn rebuild_jobs(data: &[ShardData], jobs: &mut [RebuildSlot]) {
     // unification can arm the ledger workspace-wide.
     if racecheck::ENABLED {
         for (i, slot) in jobs.iter_mut() {
-            *slot = Some(contained_build(&data[*i], *i));
+            *slot = Some(contained(|| ShardGen::try_build(&data[*i], *i as u64)));
         }
         return;
     }
     match jobs {
         [] => {}
         [(i, slot)] => {
-            *slot = Some(contained_build(&data[*i], *i));
+            *slot = Some(contained(|| ShardGen::try_build(&data[*i], *i as u64)));
         }
         _ => {
             let mid = jobs.len() / 2;

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p pwe --example kdtree_nn`.
 
-use pwe::kdtree::dynamic::{DynamicKdTree, RebuildStrategy};
+use pwe::kdtree::dynamic::DynamicKdTree;
 use pwe::prelude::*;
 use pwe_geom::bbox::BBoxK;
 use pwe_geom::generators::uniform_points_2d;
@@ -12,9 +12,7 @@ use pwe_geom::point::PointK;
 
 fn main() {
     let initial = uniform_points_2d(50_000, 5);
-    let (mut tree, cost) = measure(Omega::new(10), || {
-        DynamicKdTree::new(&initial, 0.65, RebuildStrategy::PBatched)
-    });
+    let (mut tree, cost) = measure(Omega::new(10), || DynamicKdTree::new(&initial, 0.65));
     println!("initial build of {} points: {cost}", initial.len());
 
     // Stream inserts concentrated in one corner — the worst case for a static
